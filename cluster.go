@@ -17,7 +17,7 @@ type Cluster struct {
 	stores []*Store
 }
 
-// newClusterStore is the store constructor the cluster builders use; a
+// newClusterStore is the store constructor NewCluster uses; a
 // seam so tests can fail the k-th construction and check cleanup.
 var newClusterStore = New
 

@@ -48,10 +48,10 @@ func benchCfg() kvdirect.Config {
 }
 
 // runBenchmarks measures the replicated-write overhead against the
-// single-store baseline, both in-process (pure replication cost) and
-// over kvnet with a 3-replica quorum-2 group (the full kvrepl path),
-// plus ordered-scan throughput. A non-empty filter selects benchmarks
-// by name-substring (e.g. "scan").
+// single-store baseline: a plain store, then over kvnet alone and with
+// a 3-replica quorum-2 group (the full kvrepl path), plus ordered-scan
+// throughput. A non-empty filter selects benchmarks by name-substring
+// (e.g. "scan").
 func runBenchmarks(asJSON bool, filter string) error {
 	var results []benchResult
 	add := func(name string, fn func(b *testing.B)) {
@@ -76,21 +76,6 @@ func runBenchmarks(asJSON bool, filter string) error {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := s.Put(benchKey(i), v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	add("put/replicated-3x-inprocess", func(b *testing.B) {
-		rc, err := kvdirect.NewReplicatedCluster(1, 3, benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rc.Close()
-		v := benchVal()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := rc.Put(benchKey(i), v); err != nil {
 				b.Fatal(err)
 			}
 		}

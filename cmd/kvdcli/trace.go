@@ -47,7 +47,7 @@ func runTrace(metrics string, args []string) error {
 		return err
 	}
 	if len(traces) == 0 {
-		fmt.Println("(no traces — is sampling on? kvgw TraceSampleEvery, or send a FlagTrace request)")
+		fmt.Println("(no traces — is sampling on? kvdserver -trace-sample or kvgw TraceSampleEvery)")
 		return nil
 	}
 	for i, tr := range traces {

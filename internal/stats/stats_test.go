@@ -135,63 +135,3 @@ func TestPercentileMonotonicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.N() != 100 {
-		t.Fatalf("N = %d, want 100", h.N())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 10 {
-			t.Errorf("bucket %d = %d, want 10", i, h.Bucket(i))
-		}
-	}
-	if got := h.Quantile(0.5); math.Abs(got-50) > 10 {
-		t.Errorf("Quantile(0.5) = %g, want ~50", got)
-	}
-	if got := h.Mean(); math.Abs(got-50) > 1 {
-		t.Errorf("Mean = %g, want ~50", got)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(100)
-	if h.Bucket(0) != 1 || h.Bucket(9) != 1 {
-		t.Errorf("clamping failed: first=%d last=%d", h.Bucket(0), h.Bucket(9))
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with hi<=lo should panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(5)
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Errorf("Quantile(-1) should clamp to Quantile(0)")
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Errorf("Quantile(2)=%g should clamp to Quantile(1)=%g", got, h.Quantile(1))
-	}
-	if h.Quantile(0.5) < 5 || h.Quantile(0.5) > 7 {
-		t.Errorf("Quantile(0.5) = %g, want within bucket containing 5", h.Quantile(0.5))
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should return zeros")
-	}
-}

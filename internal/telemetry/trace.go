@@ -3,10 +3,9 @@ package telemetry
 // Trace assembly: the hops of one end-to-end request each publish a
 // Span carrying (TraceID, SpanID, Parent) into their own registry ring;
 // a merged Snapshot concatenates those rings, and AssembleTraces
-// stitches the flat span soup back into per-trace trees. The same span
-// can legitimately appear twice — the server span travels back to the
-// client embedded as Span.Server AND is retained in the server's own
-// ring — so assembly dedups on the (TraceID, SpanID) pair, first
+// stitches the flat span soup back into per-trace trees, indexing the
+// nodes by the (TraceID, SpanID) pair. Should the same span appear
+// twice in the input (two scrapes of one ring merged), the first
 // occurrence wins.
 
 // TraceNode is one span with its resolved children.
@@ -49,7 +48,7 @@ func (t *Trace) Counts() AccessCounts {
 
 // AssembleTraces groups spans by trace ID and links each trace's spans
 // into trees. Spans without a trace ID (plain sampled spans) are
-// ignored; nested Server spans are lifted into the pool before linking.
+// ignored.
 // At most limit traces are returned (0 = no limit), preferring the most
 // recently seen — rings are oldest-first, so the tail of the span list
 // is the freshest. Traces are returned oldest-first.
@@ -60,22 +59,15 @@ func AssembleTraces(spans []*Span, limit int) []*Trace {
 	}
 	pool := map[key]*Span{}
 	var order []key // first-seen order of span keys
-	var add func(s *Span)
-	add = func(s *Span) {
-		if s == nil {
-			return
-		}
-		if s.TraceID != 0 && s.SpanID != 0 {
-			k := key{s.TraceID, s.SpanID}
-			if _, dup := pool[k]; !dup {
-				pool[k] = s
-				order = append(order, k)
-			}
-		}
-		add(s.Server)
-	}
 	for _, s := range spans {
-		add(s)
+		if s == nil || s.TraceID == 0 || s.SpanID == 0 {
+			continue
+		}
+		k := key{s.TraceID, s.SpanID}
+		if _, dup := pool[k]; !dup {
+			pool[k] = s
+			order = append(order, k)
+		}
 	}
 
 	byTrace := map[uint64]*Trace{}

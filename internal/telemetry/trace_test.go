@@ -10,13 +10,11 @@ func TestAssembleTraces(t *testing.T) {
 	root := &Span{TraceID: trace, SpanID: 1, Op: "GW_BATCH"}
 	client := &Span{TraceID: trace, SpanID: 2, Parent: 1, Op: "PUT"}
 	server := &Span{TraceID: trace, SpanID: 3, Parent: 2, Op: "server"}
-	client.Server = server // travels embedded, like the wire path
-	root.Server = client
 	ship := &Span{TraceID: trace, SpanID: 4, Parent: 3, Op: "REPL_SHIP"}
 
-	// The server span appears twice: embedded under the client AND
-	// retained in the server's own ring. Dedup must collapse them.
-	spans := []*Span{root, server, ship, {Op: "untraced sample"}}
+	// Each hop's ring contributes its own spans, in any order; a span
+	// seen twice (one ring merged from two sources) is one node.
+	spans := []*Span{ship, server, root, client, server, {Op: "untraced sample"}}
 	traces := AssembleTraces(spans, 0)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))

@@ -45,12 +45,11 @@ type Stage struct {
 	Ns   uint64 `json:"ns"`
 }
 
-// Span records one traced operation (or batch) end to end. A span is
-// built by a single goroutine at a time — the kvnet client owns it
-// before the request is sent and after the reply arrives, the server
-// pipeline owns the server-side child in between — so its fields need
-// no locking. All mutating methods are nil-receiver safe: the untraced
-// hot path passes a nil *Span around and every call is a no-op.
+// Span records one hop of a traced operation (or batch). A span is
+// built by the single goroutine of the hop that started it and is
+// immutable once published to that hop's trace ring, so its fields
+// need no locking. All mutating methods are nil-receiver safe: the
+// untraced hot path passes a nil *Span around and every call is a no-op.
 type Span struct {
 	// TraceID, SpanID and Parent place this span in a distributed
 	// trace: TraceID is constant across every hop of one end-to-end
@@ -66,17 +65,16 @@ type Span struct {
 	TotalNs uint64       `json:"total_ns"`
 	Stages  []Stage      `json:"stages,omitempty"`
 	Counts  AccessCounts `json:"counts"`
-	Server  *Span        `json:"server,omitempty"`
 	Err     string       `json:"err,omitempty"`
 
 	start time.Time
 }
 
 // spanIDs and traceIDs are process-wide generators. Span IDs are a
-// plain counter (unique within a process is enough — assembly dedups on
-// the (TraceID, SpanID) pair); trace IDs are mixed through splitmix64
-// so independent processes almost surely never collide on the IDs that
-// end up in exemplars and trace rings.
+// plain counter (unique within a process is enough — assembly keys
+// nodes on the (TraceID, SpanID) pair); trace IDs are mixed through
+// splitmix64 so independent processes almost surely never collide on
+// the IDs that end up in exemplars and trace rings.
 var (
 	spanIDs  atomic.Uint32
 	traceIDs atomic.Uint64
@@ -242,12 +240,11 @@ func (t *Tracer) Sample() *Span {
 	if t.tick.Add(1)%n != 0 {
 		return nil
 	}
-	return t.Force() //lint:allow hotalloc -- 1-in-N sampled path; the off path returns nil first, proven 0 allocs/op by the tracer bench
+	return t.force() //lint:allow hotalloc -- 1-in-N sampled path; the off path returns nil first, proven 0 allocs/op by the tracer bench
 }
 
-// Force returns a span unconditionally, bypassing sampling. Used for
-// explicitly traced requests (the wire FlagTrace path).
-func (t *Tracer) Force() *Span {
+// force returns a span unconditionally, bypassing sampling.
+func (t *Tracer) force() *Span {
 	return &Span{start: time.Now()}
 }
 
@@ -256,7 +253,7 @@ func (t *Tracer) Force() *Span {
 // received a sampled trace context from upstream and must produce a
 // span regardless of local sampling.
 func (t *Tracer) StartTrace(traceID uint64, parent uint32) *Span {
-	s := t.Force()
+	s := t.force()
 	s.BeginTrace(traceID, parent)
 	return s
 }

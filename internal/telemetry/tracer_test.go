@@ -51,7 +51,7 @@ func TestNilSpanSafe(t *testing.T) {
 
 func TestSpanStagesAndCounts(t *testing.T) {
 	tr := NewTracer()
-	s := tr.Force()
+	s := tr.StartTrace(NewTraceID(), 0)
 	s.SetOp("get", 1)
 	st := s.StartStage("server.apply")
 	st.End()
@@ -85,8 +85,9 @@ func TestSpanStagesAndCounts(t *testing.T) {
 
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer()
+	tr.SetSampleEvery(1)
 	for i := 0; i < tracerRing+10; i++ {
-		s := tr.Force()
+		s := tr.Sample()
 		s.SetOp("op", i)
 		tr.Publish(s)
 	}
@@ -104,10 +105,10 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 func TestSpanJSONRoundTrip(t *testing.T) {
-	s := &Span{Op: "get", Ops: 1, TotalNs: 555,
+	s := &Span{TraceID: 7, SpanID: 3, Parent: 1,
+		Op: "get", Ops: 1, TotalNs: 555,
 		Stages: []Stage{{Name: "server.apply", Ns: 400}},
 		Counts: AccessCounts{PCIeReads: 2, DRAMHits: 1},
-		Server: &Span{Op: "get", TotalNs: 300},
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -117,8 +118,8 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Op != "get" || back.Counts.PCIeReads != 2 || back.Server == nil ||
-		back.Server.TotalNs != 300 || back.Stages[0].Ns != 400 {
+	if back.Op != "get" || back.Counts.PCIeReads != 2 || back.TraceID != 7 ||
+		back.SpanID != 3 || back.Parent != 1 || back.Stages[0].Ns != 400 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }

@@ -22,8 +22,8 @@ import (
 //	                 bits 1–3 reserved (must be zero)
 
 // FlagTraceCtx marks a request packet that carries a trailing
-// TraceContext block. Like FlagTrace it is set on the FIRST op only and
-// ignored elsewhere, so op-level compression is untouched.
+// TraceContext block. It is set on the FIRST op only and ignored
+// elsewhere, so op-level compression is untouched.
 const FlagTraceCtx uint8 = 1 << 3
 
 // TraceContextBytes is the fixed encoded size of a TraceContext.

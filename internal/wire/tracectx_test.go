@@ -97,26 +97,6 @@ func TestMarkTraceContext(t *testing.T) {
 	}
 }
 
-func TestMarkTraceContextComposesWithMarkTraced(t *testing.T) {
-	pkt, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("x")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MarkTraced(pkt); err != nil {
-		t.Fatal(err)
-	}
-	pkt, err = MarkTraceContext(pkt, TraceContext{TraceID: 5, Sampled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsTraced(pkt) {
-		t.Fatal("FlagTrace lost after MarkTraceContext")
-	}
-	if _, ok := PacketTraceContext(pkt); !ok {
-		t.Fatal("context lost after MarkTraced")
-	}
-}
-
 // FuzzDecodeTraceContext: whatever DecodeTraceContext accepts must
 // re-encode to the identical bytes (the encoding is canonical), and the
 // decoder must never panic on garbage.

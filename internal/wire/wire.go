@@ -120,15 +120,12 @@ func (o OpCode) HasParam() bool {
 func (o OpCode) HasFunc() bool { return o >= OpUpdateScalar && o <= OpRegister }
 
 // Flag bits (paper: "two flag bits to allow copying key and value size,
-// or the value of the previous KV in the packet"). FlagTrace is a
-// reproduction extension: set on the FIRST op of a packet, it asks the
-// server to trace the whole batch and append one extra trailing
-// response carrying the server-side span as JSON. Decoders ignore it on
-// other ops, so the flag survives the compression round trip.
+// or the value of the previous KV in the packet"). Bit 3 is the
+// reproduction's FlagTraceCtx (tracectx.go), meaningful on the FIRST op
+// of a packet only; bit 2 is unused.
 const (
 	FlagSameSizes uint8 = 1 << 0
 	FlagSameValue uint8 = 1 << 1
-	FlagTrace     uint8 = 1 << 2
 )
 
 // Request is one decoded KV operation.
@@ -389,25 +386,6 @@ func DecodeResponses(pkt []byte) ([]Response, error) {
 		p = p[vlen:]
 	}
 	return resps, nil
-}
-
-// MarkTraced sets FlagTrace on an encoded request packet's first op,
-// asking the server for a span of the batch. Operating on the encoded
-// bytes keeps the flag out of Request, so encode/decode round trips and
-// the compression logic are untouched.
-func MarkTraced(pkt []byte) error {
-	if len(pkt) < HeaderBytes+2 || binary.LittleEndian.Uint16(pkt[3:]) == 0 {
-		return ErrTruncated
-	}
-	pkt[HeaderBytes+1] |= FlagTrace
-	return nil
-}
-
-// IsTraced reports whether MarkTraced was applied to the packet.
-func IsTraced(pkt []byte) bool {
-	return len(pkt) >= HeaderBytes+2 &&
-		binary.LittleEndian.Uint16(pkt[3:]) > 0 &&
-		pkt[HeaderBytes+1]&FlagTrace != 0
 }
 
 // EncodedSize returns the exact wire size AppendRequests would produce,

@@ -246,3 +246,23 @@ func TestOpCodeStrings(t *testing.T) {
 		t.Error("invalid opcodes reported valid")
 	}
 }
+
+func TestOpTelemetryCode(t *testing.T) {
+	if !OpTelemetry.Valid() {
+		t.Fatal("OpTelemetry not valid")
+	}
+	if OpTelemetry.HasValue() || OpTelemetry.HasFunc() {
+		t.Fatal("OpTelemetry must carry no payload or λ")
+	}
+	if OpTelemetry.String() != "TELEMETRY" {
+		t.Fatalf("String() = %q", OpTelemetry.String())
+	}
+	pkt, err := AppendRequests(nil, []Request{{Op: OpTelemetry}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRequests(pkt)
+	if err != nil || len(got) != 1 || got[0].Op != OpTelemetry {
+		t.Fatalf("round trip: %v %+v", err, got)
+	}
+}

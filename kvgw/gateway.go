@@ -24,8 +24,9 @@ type Backend interface {
 }
 
 // TraceBackend is the optional tracing extension of Backend: execute a
-// batch inside a distributed trace, returning the backend-side span so
-// the gateway can graft it under its own root. kvnet.Client,
+// batch inside a distributed trace, parenting the backend-side spans
+// under the gateway's root; each hop publishes its span to its own
+// trace ring and /debug/traces assembles the tree. kvnet.Client,
 // kvnet.ShardedClient and kvnet.Server all satisfy it; when the backend
 // does not, sampled gateway batches fall back to Do and the trace tree
 // simply ends at the gateway hop.
@@ -272,9 +273,7 @@ func (c *conn) flush() error {
 		start := c.g.opts.Now()
 		var err error
 		if tb, ok := c.g.backend.(TraceBackend); ok && span != nil {
-			var child *telemetry.Span
-			results, child, err = tb.DoTrace(ops, span.TraceID, span.SpanID)
-			span.Server = child
+			results, _, err = tb.DoTrace(ops, span.TraceID, span.SpanID)
 		} else {
 			results, err = c.g.backend.Do(ops)
 		}

@@ -19,8 +19,9 @@ import (
 // gateway fronting a replicated shard with sampling on, then scrapes
 // /debug/traces exactly like an operator would and asserts one tree
 // spans every hop: GW_BATCH root (with the gw.decode stage) → client →
-// primary apply → quorum REPL_SHIP spans. The /metrics scrape must also
-// carry a trace-id exemplar on the gateway's batch histogram.
+// primary apply → quorum REPL_SHIP spans, whose access counts sum to
+// exactly the model delta of the replicas' stores. The /metrics scrape
+// must also carry a trace-id exemplar on the gateway's batch histogram.
 func TestGatewayTraceAssemblesAcrossHops(t *testing.T) {
 	coord := kvrepl.NewCoordinator(kvrepl.CoordOptions{
 		LeaseTimeout: 60 * time.Millisecond,
@@ -67,13 +68,19 @@ func TestGatewayTraceAssemblesAcrossHops(t *testing.T) {
 
 	c := rawDial(t, gw.Addr())
 	c.mustAuth("acme", "s3cret")
+	// The SET is the only batch the group applies: its trace must charge
+	// exactly what it cost every replica's store, primary and backups.
+	before := make([]kvdirect.Stats, len(g.Replicas))
+	for i, r := range g.Replicas {
+		before[i] = r.Store().Stats()
+	}
 	if resp := c.roundTrip(frame(0x01, 1, 0, storeExtras(0), []byte("k"), []byte("traced"))); resp.status != 0 {
 		t.Fatalf("set: %#04x", resp.status)
 	}
 
 	// The GW_BATCH span publishes with the flush, but the quorum ship
 	// spans land after the backups ack; poll the debug endpoint until
-	// the tree is complete.
+	// the tree is complete, both backups' apply spans included.
 	var full *telemetry.Trace
 	deadline := time.Now().Add(5 * time.Second)
 	for full == nil {
@@ -84,13 +91,16 @@ func TestGatewayTraceAssemblesAcrossHops(t *testing.T) {
 			if len(tr.Roots) != 1 || tr.Roots[0].Span.Op != "GW_BATCH" {
 				continue
 			}
-			ships := 0
+			ships, applies := 0, 0
 			tr.Visit(func(n *telemetry.TraceNode) {
-				if n.Span.Op == "REPL_SHIP" {
+				switch n.Span.Op {
+				case "REPL_SHIP":
 					ships++
+				case "REPL_APPLY":
+					applies++
 				}
 			})
-			if ships >= 2 {
+			if ships >= 2 && applies >= 2 {
 				full = tr
 			}
 		}
@@ -121,8 +131,20 @@ func TestGatewayTraceAssemblesAcrossHops(t *testing.T) {
 	if len(client.Children) != 1 {
 		t.Fatalf("client hop has %d children, want the server apply", len(client.Children))
 	}
-	if got := full.Counts(); got == (telemetry.AccessCounts{}) {
-		t.Fatal("assembled trace charged no hardware accesses")
+	var want telemetry.AccessCounts
+	for i, r := range g.Replicas {
+		after := r.Store().Stats()
+		want.Add(kvdirect.Stats{
+			Mem:      after.Mem.Sub(before[i].Mem),
+			Cache:    after.Cache.Sub(before[i].Cache),
+			Dispatch: after.Dispatch.Sub(before[i].Dispatch),
+		}.AccessCounts())
+	}
+	if want == (telemetry.AccessCounts{}) {
+		t.Fatal("the SET charged no hardware accesses")
+	}
+	if got := full.Counts(); got != want {
+		t.Fatalf("assembled trace counts %+v, model delta across replicas %+v", got, want)
 	}
 
 	// The batch-latency histogram links back to a trace by exemplar.

@@ -237,26 +237,18 @@ func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.exchange(ops, pkt, len(ops), 0)
+	return c.exchange(ops, pkt, 0)
 }
 
-// DoTraced sends one batch with the wire trace flag set, asking the
-// server for an end-to-end span of the batch. The returned span carries
-// the client-measured stages (encode, network round trip), the
-// server-side child span with its per-stage timings, and the PCIe/DRAM
-// access counts the performance model charged the batch — the paper's
-// per-op cost breakdown for one live operation. Results are identical
-// to Do. The span is also retained in the client registry's trace ring,
-// under a fresh trace ID.
-func (c *Client) DoTraced(ops []kvdirect.Op) ([]kvdirect.Result, *telemetry.Span, error) {
-	return c.DoTrace(ops, 0, 0)
-}
-
-// DoTrace is DoTraced placed in an existing distributed trace: the
-// client span is parented under parent within traceID (0 starts a fresh
-// trace), and the packet carries the sampled trace context downstream,
-// so the server — and, for replicated writes, the per-backup log
-// shipping — parent their spans under this hop's.
+// DoTrace sends one batch inside a distributed trace: the client span
+// is parented under parent within traceID (0 starts a fresh trace), and
+// the packet carries the sampled trace context downstream, so the
+// server — and, for replicated writes, the per-backup log shipping —
+// parent their spans under this hop's. Each hop retains its own span in
+// its own registry's trace ring; telemetry.AssembleTraces stitches the
+// tree back together from the merged snapshots (/debug/traces). The
+// returned client span carries the client-measured stages (encode,
+// network round trip). Results are identical to Do.
 func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
 	if traceID == 0 {
 		traceID = telemetry.NewTraceID()
@@ -266,9 +258,6 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 	st := span.StartStage("client.encode")
 	pkt, err := kvdirect.EncodeBatch(ops)
 	if err == nil {
-		err = wire.MarkTraced(pkt)
-	}
-	if err == nil {
 		pkt, err = wire.MarkTraceContext(pkt, wire.TraceContext{
 			TraceID: span.TraceID, Parent: span.SpanID, Sampled: true,
 		})
@@ -277,25 +266,14 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 	if err != nil {
 		return nil, nil, err
 	}
-	// The server appends one extra trailing response holding its span.
 	st = span.StartStage("client.rtt")
-	results, err := c.exchange(ops, pkt, len(ops)+1, span.TraceID)
+	results, err := c.exchange(ops, pkt, span.TraceID)
 	st.End()
+	span.SetErr(err)
+	c.tel.Tracer().Publish(span) // finishes TotalNs
 	if err != nil {
-		span.SetErr(err)
-		c.tel.Tracer().Publish(span)
 		return nil, span, err
 	}
-	last := results[len(results)-1]
-	results = results[:len(results)-1]
-	if last.OK() {
-		var srv telemetry.Span
-		if jerr := json.Unmarshal(last.Value, &srv); jerr == nil {
-			span.Server = &srv
-			span.AddCounts(srv.Counts)
-		}
-	}
-	c.tel.Tracer().Publish(span) // finishes TotalNs
 	return results, span, nil
 }
 
@@ -313,10 +291,10 @@ func traceLabel(ops []kvdirect.Op) string {
 	return wire.OpCode(code).String()
 }
 
-// exchange runs the retry loop for one encoded packet, expecting want
-// responses. A nonzero traceID links the RTT observation to its trace
+// exchange runs the retry loop for one encoded packet, expecting one
+// response per op. A nonzero traceID links the RTT observation to its trace
 // as a histogram exemplar.
-func (c *Client) exchange(ops []kvdirect.Op, pkt []byte, want int, traceID uint64) ([]kvdirect.Result, error) {
+func (c *Client) exchange(ops []kvdirect.Op, pkt []byte, traceID uint64) ([]kvdirect.Result, error) {
 	retries := 0
 	if idempotent(ops) {
 		retries = c.opts.MaxRetries
@@ -336,7 +314,7 @@ func (c *Client) exchange(ops []kvdirect.Op, pkt []byte, want int, traceID uint6
 			lastErr = err // dial failure: maybe transient, keep retrying
 			continue
 		}
-		res, err := c.doOnceLocked(pkt, want, traceID) //lint:allow lockorder -- one request in flight per client by design; mu held across the wire exchange IS the serialization
+		res, err := c.doOnceLocked(pkt, len(ops), traceID) //lint:allow lockorder -- one request in flight per client by design; mu held across the wire exchange IS the serialization
 		if err == nil {
 			return res, nil
 		}

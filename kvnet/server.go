@@ -16,7 +16,6 @@ package kvnet
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -308,21 +307,14 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return // short read / reset / idle timeout: connection is gone
 		}
-		// A client-requested trace (FlagTrace on the packet) always gets
-		// a span, returned as one extra trailing response. A sampled
-		// trace context (FlagTraceCtx) places the span in the sender's
-		// distributed trace — parented under the sender's span — whether
-		// or not the span is also returned inline. Otherwise the
-		// server's own sampler may pick the batch for its trace ring.
-		traced := wire.IsTraced(pkt)
-		tc, hasCtx := wire.PacketTraceContext(pkt)
+		// A sampled trace context (FlagTraceCtx) places the span in the
+		// sender's distributed trace, parented under the sender's span;
+		// otherwise the server's own sampler may pick the batch. Either
+		// way the span lands only in this server's trace ring.
 		var span *telemetry.Span
-		switch {
-		case hasCtx && tc.Sampled:
+		if tc, ok := wire.PacketTraceContext(pkt); ok && tc.Sampled {
 			span = s.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
-		case traced:
-			span = s.tel.Tracer().Force()
-		default:
+		} else {
 			span = s.tel.Tracer().Sample()
 		}
 		st := span.StartStage("server.decode")
@@ -341,21 +333,7 @@ func (s *Server) handle(conn net.Conn) {
 		st = span.StartStage("server.apply")
 		resps := s.apply(reqs, span)
 		st.End()
-		if traced {
-			// The span covers decode+apply; it must be finished before
-			// marshalling, so the reply stage is deliberately outside it.
-			span.Finish()
-			resps = append(resps, spanResponse(span))
-			if span.TraceID != 0 {
-				// A context-carrying span is ALSO retained locally: the
-				// copy riding back to the client may land in a different
-				// process's ring, and trace assembly dedups the pair by
-				// (TraceID, SpanID).
-				s.tel.Tracer().Publish(span)
-			}
-		} else if span != nil {
-			s.tel.Tracer().Publish(span)
-		}
+		s.tel.Tracer().Publish(span)
 		out, err := wire.AppendResponses(nil, resps)
 		if err != nil {
 			return
@@ -379,16 +357,6 @@ func batchLabel(reqs []wire.Request) string {
 		}
 	}
 	return op.String()
-}
-
-// spanResponse marshals a finished span as the traced batch's extra
-// trailing response.
-func spanResponse(span *telemetry.Span) wire.Response {
-	data, err := json.Marshal(span)
-	if err != nil {
-		return wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
-	}
-	return wire.Response{Status: wire.StatusOK, Value: data}
 }
 
 // apply runs a batch against the backend under the pipeline lock,
@@ -423,8 +391,7 @@ func (s *Server) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
 // DoTrace executes one batch through the loopback path like Do, under a
 // span placed in the distributed trace (traceID, parent) — or a fresh
 // trace when traceID is 0. The span is retained in the server's trace
-// ring and returned so in-process front-ends (the gateway) can embed it
-// in their own root span.
+// ring, where trace assembly finds it, and is also returned.
 func (s *Server) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
 	if traceID == 0 {
 		traceID = telemetry.NewTraceID()

@@ -15,7 +15,10 @@ import (
 // TestTracedGetMatchesModelCharges is the acceptance check for the span
 // tracer: a traced GET over a real TCP connection must report per-stage
 // durations and exactly the PCIe/DRAM access counts the performance
-// model charged the server's store for that operation.
+// model charged the server's store for that operation. The trace is
+// assembled from the merged client and server snapshots — the same
+// path /debug/traces takes — and the whole tree must sum to the model
+// delta, not a multiple of it: only the server span carries counts.
 func TestTracedGetMatchesModelCharges(t *testing.T) {
 	store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 8 << 20})
 	if err != nil {
@@ -40,7 +43,7 @@ func TestTracedGetMatchesModelCharges(t *testing.T) {
 	// equal the model's own delta across it. Nothing else touches the
 	// store between the two Stats() reads except the traced GET.
 	before := store.Stats()
-	res, span, err := c.DoTraced([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte("traced-key")}})
+	res, root, err := c.DoTrace([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte("traced-key")}}, 0, 0)
 	after := store.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -48,24 +51,36 @@ func TestTracedGetMatchesModelCharges(t *testing.T) {
 	if len(res) != 1 || !res[0].OK() || len(res[0].Value) != 100 {
 		t.Fatalf("traced GET result: %+v", res)
 	}
-	if span == nil || span.Server == nil {
-		t.Fatalf("no server span attached: %+v", span)
+
+	var merged telemetry.Snapshot
+	merged.Merge(c.Telemetry().Snapshot())
+	merged.Merge(srv.TelemetrySnapshot())
+	tr := telemetry.FindTrace(merged.Spans, root.TraceID)
+	if tr == nil || len(tr.Roots) != 1 || tr.Roots[0].Span.SpanID != root.SpanID {
+		t.Fatalf("trace not assembled under the client span: %+v", tr)
 	}
+	if tr.Spans != 2 || len(tr.Roots[0].Children) != 1 {
+		t.Fatalf("want client span → server span, got %d spans", tr.Spans)
+	}
+	client, server := tr.Roots[0].Span, tr.Roots[0].Children[0].Span
 
 	want := kvdirect.Stats{
 		Mem:      after.Mem.Sub(before.Mem),
 		Cache:    after.Cache.Sub(before.Cache),
 		Dispatch: after.Dispatch.Sub(before.Dispatch),
 	}.AccessCounts()
-	if span.Counts != want {
-		t.Errorf("span counts %+v != model delta %+v", span.Counts, want)
+	if server.Counts != want {
+		t.Errorf("server span counts %+v != model delta %+v", server.Counts, want)
 	}
-	if span.Counts.PCIeReads+span.Counts.DRAMLineReads == 0 {
+	if got := tr.Counts(); got != want {
+		t.Errorf("trace counts %+v != model delta %+v", got, want)
+	}
+	if want.PCIeReads+want.DRAMLineReads == 0 {
 		t.Error("GET charged no reads at all")
 	}
 
 	// Per-stage durations: client measured encode + rtt, server
-	// measured decode + apply, and the server span is finished.
+	// measured decode + apply, and both spans are finished.
 	stages := func(s *telemetry.Span) map[string]uint64 {
 		m := map[string]uint64{}
 		for _, st := range s.Stages {
@@ -73,22 +88,22 @@ func TestTracedGetMatchesModelCharges(t *testing.T) {
 		}
 		return m
 	}
-	cl := stages(span)
+	cl := stages(client)
 	if _, ok := cl["client.rtt"]; !ok || len(cl) < 2 {
-		t.Errorf("client stages missing: %+v", span.Stages)
+		t.Errorf("client stages missing: %+v", client.Stages)
 	}
-	sv := stages(span.Server)
+	sv := stages(server)
 	if sv["server.apply"] == 0 {
-		t.Errorf("server.apply stage missing or zero: %+v", span.Server.Stages)
+		t.Errorf("server.apply stage missing or zero: %+v", server.Stages)
 	}
-	if span.Server.TotalNs == 0 || span.TotalNs == 0 {
+	if server.TotalNs == 0 || client.TotalNs == 0 {
 		t.Error("span totals not stamped")
 	}
-	if span.TotalNs < span.Server.TotalNs {
-		t.Errorf("client total %d < server total %d", span.TotalNs, span.Server.TotalNs)
+	if client.TotalNs < server.TotalNs {
+		t.Errorf("client total %d < server total %d", client.TotalNs, server.TotalNs)
 	}
-	if span.Op != "GET" || span.Server.Op != "GET" {
-		t.Errorf("span labels: %q / %q", span.Op, span.Server.Op)
+	if client.Op != "GET" || server.Op != "GET" {
+		t.Errorf("span labels: %q / %q", client.Op, server.Op)
 	}
 }
 

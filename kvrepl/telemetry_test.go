@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"kvdirect"
+	"kvdirect/internal/telemetry"
 	"kvdirect/kvnet"
 )
 
 // TestReplicaTelemetry covers the replica's shared-registry wiring: a
-// traced write against the primary reports the quorum-wait stage and
-// the store's access counts, the wire scrape sees replication gauges
-// next to server counters, and the lag gauges are signed.
+// traced write against the primary, assembled from the client's and
+// the primary's trace rings, reports the quorum-wait stage and sums to
+// exactly the primary store's access-count delta; the wire scrape sees
+// replication gauges next to server counters, and the lag gauges are
+// signed.
 func TestReplicaTelemetry(t *testing.T) {
 	coord := NewCoordinator(fastCoord())
 	defer coord.Close()
@@ -33,29 +36,49 @@ func TestReplicaTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, span, err := c.DoTraced([]kvdirect.Op{
+	before := prim.Store().Stats()
+	res, root, err := c.DoTrace([]kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("traced"), Value: []byte("write")},
-	})
+	}, 0, 0)
+	after := prim.Store().Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || !res[0].OK() {
 		t.Fatalf("traced put: %+v", res)
 	}
-	if span == nil || span.Server == nil {
-		t.Fatalf("no server span: %+v", span)
+	// Assemble from the client's and the primary's rings: client span →
+	// primary apply (→ REPL_SHIP spans, which charge no accesses).
+	var merged telemetry.Snapshot
+	merged.Merge(c.Telemetry().Snapshot())
+	merged.Merge(prim.TelemetrySnapshot())
+	tr := telemetry.FindTrace(merged.Spans, root.TraceID)
+	if tr == nil || len(tr.Roots) != 1 || len(tr.Roots[0].Children) != 1 {
+		t.Fatalf("want client span → server span, got %+v", tr)
 	}
+	server := tr.Roots[0].Children[0].Span
 	var sawQuorum bool
-	for _, st := range span.Server.Stages {
+	for _, st := range server.Stages {
 		if st.Name == "repl.quorum_wait" {
 			sawQuorum = true
 		}
 	}
 	if !sawQuorum {
-		t.Errorf("traced write missing repl.quorum_wait stage: %+v", span.Server.Stages)
+		t.Errorf("traced write missing repl.quorum_wait stage: %+v", server.Stages)
 	}
-	if span.Counts.PCIeWrites+span.Counts.DRAMLineWrites == 0 {
-		t.Errorf("traced write charged no writes: %+v", span.Counts)
+	want := kvdirect.Stats{
+		Mem:      after.Mem.Sub(before.Mem),
+		Cache:    after.Cache.Sub(before.Cache),
+		Dispatch: after.Dispatch.Sub(before.Dispatch),
+	}.AccessCounts()
+	if want.PCIeWrites+want.DRAMLineWrites == 0 {
+		t.Errorf("traced write charged no writes: %+v", want)
+	}
+	if server.Counts != want {
+		t.Errorf("server span counts %+v != primary model delta %+v", server.Counts, want)
+	}
+	if got := tr.Counts(); got != want {
+		t.Errorf("trace counts %+v != primary model delta %+v", got, want)
 	}
 
 	// The wire scrape merges replication state with server counters and
