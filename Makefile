@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-fix test race chaos chaos-migrate chaos-scan bench bench-scan bench-gateway gateway telemetry profile check clean
+.PHONY: build vet lint lint-fix test race chaos chaos-migrate chaos-scan bench bench-build bench-scan bench-gateway gateway telemetry profile check clean
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,12 @@ chaos-scan:
 bench:
 	$(GO) test -bench=BenchmarkStorePutGet -benchmem -count=5 -run '^$$' ./internal/core/
 
+# Compile and vet the repo benchmark. perfbench/ is its own Go module
+# (see BENCHMARK.json), so the root ./... never builds it; this catches
+# an API change that would break the benchmark.
+bench-build:
+	cd perfbench && $(GO) vet ./...
+
 # Ordered-scan throughput (50-entry ranges, direct and over the wire),
 # merged into BENCH_results.json.
 bench-scan:
@@ -82,5 +88,5 @@ profile:
 	$(GO) run ./cmd/kvdbench -quick -cpuprofile cpu.pprof -memprofile heap.pprof fig11
 
 # What CI runs.
-check: vet lint
+check: vet lint bench-build
 	$(GO) test -race ./...

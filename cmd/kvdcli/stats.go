@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -39,7 +40,7 @@ func statsTable(c *kvnet.Client, watch bool, httpAddr string) error {
 		if watch {
 			fmt.Print("\033[H\033[2J") // home + clear, like top(1)
 		}
-		renderStats(snap, prev, now.Sub(prevAt), !prevAt.IsZero())
+		renderStats(os.Stdout, snap, prev, now.Sub(prevAt), !prevAt.IsZero())
 		if !watch {
 			return nil
 		}
@@ -48,8 +49,8 @@ func statsTable(c *kvnet.Client, watch bool, httpAddr string) error {
 	}
 }
 
-func renderStats(snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev bool) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func renderStats(out io.Writer, snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev bool) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	defer w.Flush()
 
 	ops := snap.Counters["server.ops"]
@@ -78,8 +79,8 @@ func renderStats(snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev 
 		fmt.Fprintf(w, "dram hit rate\t%.2f%%\n", 100*float64(hits)/float64(hits+misses))
 	}
 
-	if lag, ok := snap.IntGauges["repl.lag"]; ok {
-		fmt.Fprintf(w, "repl lag\t%d (max %d)\n", lag, snap.IntGauges["repl.lag_max"])
+	if lag, ok := snap.Gauges["repl.lag"]; ok {
+		fmt.Fprintf(w, "repl lag\t%d (max %d)\n", lag, snap.Gauges["repl.lag_max"])
 	}
 
 	// Migration activity, shown only once a migration has run.
@@ -89,7 +90,7 @@ func renderStats(snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev 
 		fmt.Fprintf(w, "migration traffic\t%d entries  %d snapshot(s)  %d catch-up bytes  %d fallbacks\n",
 			snap.Counters["repl.migration_entries"], snap.Counters["repl.snapshots_sent"],
 			snap.Counters["repl.catchup_bytes"], snap.Counters["repl.snapshot_fallbacks"])
-		if lag, ok := snap.IntGauges["repl.migration_lag"]; ok && lag > 0 {
+		if lag, ok := snap.Gauges["repl.migration_lag"]; ok && lag > 0 {
 			fmt.Fprintf(w, "migration lag\t%d entries behind source\n", lag)
 		}
 		if d := snap.Histogram("repl.migration_duration_ns"); d.Count > 0 {
@@ -97,34 +98,33 @@ func renderStats(snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev 
 		}
 	}
 
-	// Fault and resilience counters only when something actually fired,
-	// so a healthy server's table stays short.
+	// Fault and resilience activity only when something actually fired,
+	// so a healthy server's table stays short. The store publishes its
+	// ECC and fault-recovery totals as gauges, so both maps are scanned.
 	var faults []string
-	for _, name := range sortedCounterNames(snap.Counters) {
-		switch {
-		case strings.HasPrefix(name, "ecc."),
-			strings.HasPrefix(name, "fault."),
-			strings.HasSuffix(name, "_injected"),
-			strings.HasSuffix(name, "panics"),
-			strings.HasSuffix(name, "corrupt_frames"),
-			strings.HasSuffix(name, "quorum_failures"):
-			if v := snap.Counters[name]; v > 0 {
-				faults = append(faults, fmt.Sprintf("%s=%d", name, v))
-			}
+	for name, v := range snap.Counters {
+		if v > 0 && isFaultMetric(name) {
+			faults = append(faults, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	for name, v := range snap.Gauges {
+		if v > 0 && isFaultMetric(name) {
+			faults = append(faults, fmt.Sprintf("%s=%d", name, v))
 		}
 	}
 	if len(faults) > 0 {
+		sort.Strings(faults)
 		fmt.Fprintf(w, "faults\t%s\n", strings.Join(faults, " "))
 	}
 }
 
-func sortedCounterNames(m map[string]uint64) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+func isFaultMetric(name string) bool {
+	return strings.HasPrefix(name, "ecc.") ||
+		strings.HasPrefix(name, "fault.") ||
+		strings.HasSuffix(name, "_injected") ||
+		strings.HasSuffix(name, "panics") ||
+		strings.HasSuffix(name, "corrupt_frames") ||
+		strings.HasSuffix(name, "quorum_failures")
 }
 
 // ns renders a nanosecond quantity with a readable unit.

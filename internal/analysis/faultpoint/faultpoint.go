@@ -2,14 +2,17 @@
 // the internal/fault registry.
 //
 // Fault-injection coverage is observed exclusively through named
-// counters ("fault.<point>") in stats.Counters registries. A typo in
+// counters ("fault.<point>") in telemetry.Counters registries. A typo in
 // such a name — in an assertion, a health check, or a dashboard query —
 // does not fail to compile; it reads a permanently-zero counter and
 // silently reports "no faults", which is precisely the failure mode a
 // chaos harness exists to prevent. This analyzer resolves every
-// constant "fault."-prefixed name passed to a stats.Counters method
+// constant "fault."-prefixed name passed to a telemetry.Counters method
 // against the registry's declared point set, importing the registry
-// itself so the set can never drift from the code.
+// itself so the set can never drift from the code. Gauges are out of
+// scope: the store publishes fault-recovery levels (fault.retries,
+// fault.stalls) as gauges, and those name outcomes, not injection
+// points.
 package faultpoint
 
 import (
@@ -37,7 +40,7 @@ func KnownNames() []string {
 	return names
 }
 
-// countersMethods are the stats.Counters methods taking a counter name.
+// countersMethods are the telemetry.Counters methods taking a counter name.
 var countersMethods = map[string]bool{"Counter": true, "Add": true, "Get": true}
 
 // Analyzer is the faultpoint pass.
@@ -63,7 +66,7 @@ func run(pass *analysis.Pass) error {
 		}
 		recv := analysis.ReceiverNamed(fn)
 		if recv == nil || recv.Obj().Pkg() == nil ||
-			recv.Obj().Pkg().Path() != "kvdirect/internal/stats" ||
+			recv.Obj().Pkg().Path() != "kvdirect/internal/telemetry" ||
 			recv.Obj().Name() != "Counters" {
 			return true
 		}

@@ -11,7 +11,7 @@
 // either collides with a neighbour or becomes unfindable on a
 // dashboard, and a well-formed name under an unrecognized layer is a
 // typo until the allow-list says otherwise. The analyzer checks every
-// string literal passed as the name argument to the stats and telemetry
+// string literal passed as the name argument to the telemetry
 // registries; names built at runtime are out of scope.
 package metricname
 
@@ -68,9 +68,8 @@ func layerList() string {
 // registryTypes are the receiver types whose string-typed first
 // argument names a metric.
 var registryTypes = map[string]bool{
-	"kvdirect/internal/stats.Counters":     true,
-	"kvdirect/internal/stats.Gauges":       true,
-	"kvdirect/internal/stats.IntGauges":    true,
+	"kvdirect/internal/telemetry.Counters": true,
+	"kvdirect/internal/telemetry.Gauges":   true,
 	"kvdirect/internal/telemetry.Registry": true,
 }
 

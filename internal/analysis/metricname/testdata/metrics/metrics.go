@@ -1,17 +1,15 @@
 // Fixture for metric name convention checks.
 package metrics
 
-import (
-	"kvdirect/internal/stats"
-	"kvdirect/internal/telemetry"
-)
+import "kvdirect/internal/telemetry"
 
-func record(c *stats.Counters, g *stats.Gauges, ig *stats.IntGauges, r *telemetry.Registry) {
+func record(c *telemetry.Counters, g *telemetry.Gauges, r *telemetry.Registry) {
 	// Conforming names: layer.noun, optional snake_case and unit suffix.
 	c.Add("server.ops", 1)
 	g.Set("core.keys", 7)
 	g.SetMax("repl.lag_max", 3)
-	ig.Set("repl.lag", -2)
+	g.Set("repl.lag", -2)
+	g.Add("repl.migration_lag", -1)
 	r.Histogram("server.op_latency_ns").Observe(1)
 	c.Add("dram.line_reads", 1)
 
@@ -25,7 +23,7 @@ func record(c *stats.Counters, g *stats.Gauges, ig *stats.IntGauges, r *telemetr
 	c.Add("ops", 1)              // want "does not match layer.noun"
 	c.Add("server.Ops", 1)       // want "does not match layer.noun"
 	g.Set("replLag", 0)          // want "does not match layer.noun"
-	ig.Set("repl.lag.max", 0)    // want "does not match layer.noun"
+	g.Set("repl.lag.max", 0)     // want "does not match layer.noun"
 	c.Add("server..ops", 1)      // want "does not match layer.noun"
 	c.Add("server.ops-total", 1) // want "does not match layer.noun"
 	c.Add("_server.ops", 1)      // want "does not match layer.noun"

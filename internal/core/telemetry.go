@@ -85,8 +85,8 @@ func (s *Store) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wi
 
 // PublishTelemetry pushes the store's current component counters into
 // the attached registry as gauges (levels of the simulation's
-// cumulative counters), so HTTP and wire scrapes see core state without
-// reaching into the store. No-op without a registry. Callers must hold
+// cumulative counters, each well inside int64), so HTTP and wire
+// scrapes see core state without reaching into the store. No-op without a registry. Callers must hold
 // whatever lock serializes the store's pipeline.
 func (s *Store) PublishTelemetry() {
 	if s.tel == nil {
@@ -94,35 +94,35 @@ func (s *Store) PublishTelemetry() {
 	}
 	st := s.Stats()
 	g := s.tel.Gauges()
-	g.Set("core.keys", st.Keys)
-	g.Set("core.payload_bytes", st.PayloadBytes)
-	g.Set("core.chain_buckets", st.ChainBuckets)
-	g.Set("core.corrupt_chains", st.CorruptChains)
-	g.Set("core.faults_injected", st.FaultsInjected)
-	g.Set("pcie.reads", st.Mem.Reads)
-	g.Set("pcie.writes", st.Mem.Writes)
-	g.Set("pcie.read_lines", st.Mem.ReadLines)
-	g.Set("pcie.write_lines", st.Mem.WriteLines)
-	g.Set("dram.hits", st.Cache.Hits)
-	g.Set("dram.misses", st.Cache.Misses)
-	g.Set("dram.fills", st.Cache.Fills)
-	g.Set("dram.line_reads", st.Cache.DRAMLineReads)
-	g.Set("dram.line_writes", st.Cache.DRAMLineWrites)
-	g.Set("dispatch.direct_reads", st.Dispatch.DirectReads)
-	g.Set("dispatch.direct_writes", st.Dispatch.DirectWrites)
-	g.Set("dispatch.cached_reads", st.Dispatch.CachedReads)
-	g.Set("dispatch.cached_writes", st.Dispatch.CachedWrites)
-	g.Set("ordered.keys", st.Ordered.Keys)
-	g.Set("ordered.node_bytes", st.Ordered.NodeBytes)
-	g.Set("ordered.inserts", st.Ordered.Inserts)
-	g.Set("ordered.deletes", st.Ordered.Deletes)
-	g.Set("ordered.seeks", st.Ordered.Seeks)
-	g.Set("ordered.visited", st.Ordered.Visited)
-	g.Set("ecc.corrected", st.ECC.Corrected+st.Cache.EccCorrected)
-	g.Set("ecc.healed", st.Cache.EccHealed)
-	g.Set("ecc.uncorrectable", st.ECC.Uncorrectable+st.Cache.EccLost)
-	g.Set("fault.retries", st.Fault.Retries)
-	g.Set("fault.stalls", st.Fault.Stalls)
+	g.Set("core.keys", int64(st.Keys))
+	g.Set("core.payload_bytes", int64(st.PayloadBytes))
+	g.Set("core.chain_buckets", int64(st.ChainBuckets))
+	g.Set("core.corrupt_chains", int64(st.CorruptChains))
+	g.Set("core.faults_injected", int64(st.FaultsInjected))
+	g.Set("pcie.reads", int64(st.Mem.Reads))
+	g.Set("pcie.writes", int64(st.Mem.Writes))
+	g.Set("pcie.read_lines", int64(st.Mem.ReadLines))
+	g.Set("pcie.write_lines", int64(st.Mem.WriteLines))
+	g.Set("dram.hits", int64(st.Cache.Hits))
+	g.Set("dram.misses", int64(st.Cache.Misses))
+	g.Set("dram.fills", int64(st.Cache.Fills))
+	g.Set("dram.line_reads", int64(st.Cache.DRAMLineReads))
+	g.Set("dram.line_writes", int64(st.Cache.DRAMLineWrites))
+	g.Set("dispatch.direct_reads", int64(st.Dispatch.DirectReads))
+	g.Set("dispatch.direct_writes", int64(st.Dispatch.DirectWrites))
+	g.Set("dispatch.cached_reads", int64(st.Dispatch.CachedReads))
+	g.Set("dispatch.cached_writes", int64(st.Dispatch.CachedWrites))
+	g.Set("ordered.keys", int64(st.Ordered.Keys))
+	g.Set("ordered.node_bytes", int64(st.Ordered.NodeBytes))
+	g.Set("ordered.inserts", int64(st.Ordered.Inserts))
+	g.Set("ordered.deletes", int64(st.Ordered.Deletes))
+	g.Set("ordered.seeks", int64(st.Ordered.Seeks))
+	g.Set("ordered.visited", int64(st.Ordered.Visited))
+	g.Set("ecc.corrected", int64(st.ECC.Corrected+st.Cache.EccCorrected))
+	g.Set("ecc.healed", int64(st.Cache.EccHealed))
+	g.Set("ecc.uncorrectable", int64(st.ECC.Uncorrectable+st.Cache.EccLost))
+	g.Set("fault.retries", int64(st.Fault.Retries))
+	g.Set("fault.stalls", int64(st.Fault.Stalls))
 }
 
 // telemetrySnapshot serves the wire OpTelemetry scrape: refresh the

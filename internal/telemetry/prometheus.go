@@ -29,10 +29,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		m := promName(name)
 		emit("# TYPE %s gauge\n%s %d\n", m, m, s.Gauges[name])
 	}
-	for _, name := range sortedKeys(s.IntGauges) {
-		m := promName(name)
-		emit("# TYPE %s gauge\n%s %d\n", m, m, s.IntGauges[name])
-	}
 	for _, h := range s.Histograms {
 		m := promName(h.Name)
 		emit("# TYPE %s histogram\n", m)

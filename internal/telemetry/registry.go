@@ -2,52 +2,40 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
-
-	"kvdirect/internal/stats"
+	"sync/atomic"
 )
 
 // Registry is the single rendezvous point for a process's telemetry:
-// the monotonic counters and gauges the layers already keep, signed
-// gauges for levels that can dip negative, latency histograms, and the
-// span tracer. Everything a server knows about itself comes out of one
-// Snapshot call, which serializes to JSON and merges across shards.
+// the monotonic counters and signed gauges the layers keep, latency
+// histograms, and the span tracer. Everything a server knows about
+// itself comes out of one Snapshot call, which serializes to JSON and
+// merges across shards.
 //
 // A Registry is cheap to share: the kvnet server, the core store, and a
 // replication peer all hold the same instance so their metrics land in
 // one namespace.
 type Registry struct {
-	counters *stats.Counters
-	gauges   *stats.Gauges
-	ints     *stats.IntGauges
+	counters Counters
+	gauges   Gauges
+	hists    values[Histogram]
 	tracer   *Tracer
 	flight   *FlightRecorder
-
-	mu    sync.RWMutex
-	order []string
-	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry with sampling off.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: stats.NewCounters(),
-		gauges:   stats.NewGauges(),
-		ints:     stats.NewIntGauges(),
-		tracer:   NewTracer(),
-		flight:   NewFlightRecorder(),
-		hists:    map[string]*Histogram{},
+		hists:  values[Histogram]{mk: NewHistogram},
+		tracer: NewTracer(),
+		flight: NewFlightRecorder(),
 	}
 }
 
 // Counters returns the registry's counter set.
-func (r *Registry) Counters() *stats.Counters { return r.counters }
+func (r *Registry) Counters() *Counters { return &r.counters }
 
-// Gauges returns the registry's unsigned gauge set.
-func (r *Registry) Gauges() *stats.Gauges { return r.gauges }
-
-// IntGauges returns the registry's signed gauge set.
-func (r *Registry) IntGauges() *stats.IntGauges { return r.ints }
+// Gauges returns the registry's gauge set.
+func (r *Registry) Gauges() *Gauges { return &r.gauges }
 
 // Tracer returns the registry's span tracer.
 func (r *Registry) Tracer() *Tracer { return r.tracer }
@@ -58,29 +46,13 @@ func (r *Registry) Flight() *FlightRecorder { return r.flight }
 // Histogram returns the histogram registered under name, creating it on
 // first use. The returned pointer is stable; hot paths resolve a name
 // once and Observe on the handle thereafter.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram(name)
-		r.hists[name] = h
-		r.order = append(r.order, name)
-	}
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return r.hists.handle(name) }
 
 // Snapshot is a point-in-time copy of a Registry, JSON-serializable and
 // mergeable across shards or processes.
 type Snapshot struct {
 	Counters   map[string]uint64   `json:"counters,omitempty"`
-	Gauges     map[string]uint64   `json:"gauges,omitempty"`
-	IntGauges  map[string]int64    `json:"int_gauges,omitempty"`
+	Gauges     map[string]int64    `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 	Spans      []*Span             `json:"spans,omitempty"`
 	// Events is the flight recorder's ring at snapshot time; BlackBox
@@ -94,29 +66,13 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	// Publish the tracing/black-box levels as gauges so they ride the
 	// same scrape as everything else.
-	r.gauges.Set("trace.spans_published", r.tracer.Published())
-	r.gauges.Set("blackbox.events_recorded", r.flight.Recorded())
-	r.gauges.Set("blackbox.dumps", r.flight.Dumps())
-	s := Snapshot{
-		Counters:  map[string]uint64{},
-		Gauges:    map[string]uint64{},
-		IntGauges: map[string]int64{},
-	}
-	for _, cv := range r.counters.Snapshot() {
-		s.Counters[cv.Name] = cv.Value
-	}
-	for _, cv := range r.gauges.Snapshot() {
-		s.Gauges[cv.Name] = cv.Value
-	}
-	for _, iv := range r.ints.Snapshot() {
-		s.IntGauges[iv.Name] = iv.Value
-	}
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	r.mu.RUnlock()
-	for _, name := range names {
-		s.Histograms = append(s.Histograms, r.Histogram(name).Snapshot())
-	}
+	r.gauges.Set("trace.spans_published", int64(r.tracer.Published()))
+	r.gauges.Set("blackbox.events_recorded", int64(r.flight.Recorded()))
+	r.gauges.Set("blackbox.dumps", int64(r.flight.Dumps()))
+	s := Snapshot{Counters: map[string]uint64{}, Gauges: map[string]int64{}}
+	r.counters.m.each(func(name string, v *atomic.Uint64) { s.Counters[name] = v.Load() })
+	r.gauges.m.each(func(name string, v *atomic.Int64) { s.Gauges[name] = v.Load() })
+	r.hists.each(func(_ string, h *Histogram) { s.Histograms = append(s.Histograms, h.Snapshot()) })
 	s.Spans = r.tracer.Spans()
 	s.Events = r.flight.Events()
 	s.BlackBox = r.flight.LastDump()
@@ -132,19 +88,13 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Counters = map[string]uint64{}
 	}
 	if s.Gauges == nil {
-		s.Gauges = map[string]uint64{}
-	}
-	if s.IntGauges == nil {
-		s.IntGauges = map[string]int64{}
+		s.Gauges = map[string]int64{}
 	}
 	for k, v := range o.Counters {
 		s.Counters[k] += v
 	}
 	for k, v := range o.Gauges {
 		s.Gauges[k] += v
-	}
-	for k, v := range o.IntGauges {
-		s.IntGauges[k] += v
 	}
 	byName := map[string]int{}
 	for i, h := range s.Histograms {

@@ -11,7 +11,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counters().Add("server.ops", 10)
 	r.Gauges().Set("core.keys", 3)
-	r.IntGauges().Set("repl.lag", -2)
+	r.Gauges().Set("repl.lag", -2)
 	r.Histogram("server.op_latency_ns").Observe(1000)
 	r.Tracer().SetSampleEvery(1)
 	r.Tracer().Publish(r.Tracer().Sample())
@@ -23,8 +23,8 @@ func TestRegistrySnapshot(t *testing.T) {
 	if s.Gauges["core.keys"] != 3 {
 		t.Errorf("gauge: %+v", s.Gauges)
 	}
-	if s.IntGauges["repl.lag"] != -2 {
-		t.Errorf("int gauge survives negative: %+v", s.IntGauges)
+	if s.Gauges["repl.lag"] != -2 {
+		t.Errorf("gauge survives negative: %+v", s.Gauges)
 	}
 	if h := s.Histogram("server.op_latency_ns"); h.Count != 1 {
 		t.Errorf("histogram: %+v", h)
@@ -51,8 +51,9 @@ func TestSnapshotMerge(t *testing.T) {
 	a.Counters().Add("server.ops", 5)
 	b.Counters().Add("server.ops", 7)
 	b.Counters().Add("server.panics", 1)
-	a.IntGauges().Set("repl.lag", 4)
-	b.IntGauges().Set("repl.lag_max", 9)
+	a.Gauges().Set("repl.lag", 4)
+	b.Gauges().Set("repl.lag", -6)
+	b.Gauges().Set("repl.lag_max", 9)
 	a.Histogram("server.op_latency_ns").Observe(100)
 	b.Histogram("server.op_latency_ns").Observe(200)
 	b.Histogram("client.rtt_ns").Observe(5)
@@ -62,8 +63,8 @@ func TestSnapshotMerge(t *testing.T) {
 	if s.Counters["server.ops"] != 12 || s.Counters["server.panics"] != 1 {
 		t.Errorf("merged counters: %+v", s.Counters)
 	}
-	if s.IntGauges["repl.lag"] != 4 || s.IntGauges["repl.lag_max"] != 9 {
-		t.Errorf("merged int gauges: %+v", s.IntGauges)
+	if s.Gauges["repl.lag"] != -2 || s.Gauges["repl.lag_max"] != 9 {
+		t.Errorf("merged gauges: %+v", s.Gauges)
 	}
 	if h := s.Histogram("server.op_latency_ns"); h.Count != 2 || h.Sum != 300 {
 		t.Errorf("merged histogram: %+v", h)
@@ -82,7 +83,7 @@ func TestSnapshotMerge(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counters().Add("server.ops", 1)
-	r.IntGauges().Set("repl.lag", -1)
+	r.Gauges().Set("repl.lag", -1)
 	r.Histogram("server.op_latency_ns").Observe(77)
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
@@ -92,7 +93,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters["server.ops"] != 1 || back.IntGauges["repl.lag"] != -1 {
+	if back.Counters["server.ops"] != 1 || back.Gauges["repl.lag"] != -1 {
 		t.Fatalf("round trip lost scalars: %s", data)
 	}
 	if h := back.Histogram("server.op_latency_ns"); h.Count != 1 || len(h.Buckets) != 1 {
@@ -104,7 +105,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counters().Add("server.ops", 42)
 	r.Gauges().Set("core.keys", 7)
-	r.IntGauges().Set("repl.lag", -3)
+	r.Gauges().Set("repl.lag", -3)
 	h := r.Histogram("server.op_latency_ns")
 	for v := uint64(1); v <= 100; v++ {
 		h.Observe(v * 100)

@@ -301,8 +301,8 @@ func (r *Registry) TelemetrySnapshot() telemetry.Snapshot {
 	for _, t := range tenants {
 		snap := t.tel.Snapshot()
 		prefix := "gw.tenant_" + strings.ReplaceAll(t.name, "-", "_") + "_"
-		snap.Gauges["gw.keys"] = uint64(t.Keys())
-		snap.Gauges["gw.payload_bytes"] = uint64(t.Bytes())
+		snap.Gauges["gw.keys"] = t.Keys()
+		snap.Gauges["gw.payload_bytes"] = t.Bytes()
 		out.Merge(prefixSnapshot(snap, prefix))
 	}
 	return out
@@ -313,11 +313,7 @@ func (r *Registry) TelemetrySnapshot() telemetry.Snapshot {
 // the literal-name convention is enforced where the metrics are
 // declared.
 func prefixSnapshot(s telemetry.Snapshot, prefix string) telemetry.Snapshot {
-	out := telemetry.Snapshot{
-		Counters:  map[string]uint64{},
-		Gauges:    map[string]uint64{},
-		IntGauges: map[string]int64{},
-	}
+	out := telemetry.Snapshot{Counters: map[string]uint64{}, Gauges: map[string]int64{}}
 	rename := func(name string) string {
 		if rest, ok := strings.CutPrefix(name, "gw."); ok {
 			return prefix + rest
@@ -329,9 +325,6 @@ func prefixSnapshot(s telemetry.Snapshot, prefix string) telemetry.Snapshot {
 	}
 	for k, v := range s.Gauges {
 		out.Gauges[rename(k)] = v
-	}
-	for k, v := range s.IntGauges {
-		out.IntGauges[rename(k)] = v
 	}
 	for _, h := range s.Histograms {
 		h.Name = rename(h.Name)

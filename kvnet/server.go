@@ -25,7 +25,6 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/fault"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 )
@@ -110,7 +109,7 @@ type TelemetryPublisher interface {
 // percentiles reflect operation cost rather than batch size.
 type storeBackend struct {
 	store     *kvdirect.Store
-	counters  *stats.Counters
+	counters  *telemetry.Counters
 	opLatency *telemetry.Histogram
 }
 
@@ -159,7 +158,7 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	counters *stats.Counters
+	counters *telemetry.Counters
 	tel      *telemetry.Registry
 	batchOps *telemetry.Histogram
 }
@@ -228,7 +227,7 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 // server.corrupt_frames, server.bad_batches, server.write_timeouts,
 // server.resets_injected, server.truncations_injected,
 // server.corruptions_injected.
-func (s *Server) Counters() *stats.Counters { return s.counters }
+func (s *Server) Counters() *telemetry.Counters { return s.counters }
 
 func (s *Server) track(c net.Conn) {
 	s.connMu.Lock()

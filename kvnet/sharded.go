@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"kvdirect"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 )
 
@@ -36,9 +35,8 @@ type ShardAddrs struct {
 //
 // Like Client, it is safe for concurrent use.
 type ShardedClient struct {
-	shards   []*replicaSet
-	counters *stats.Counters
-	tel      *telemetry.Registry
+	shards []*replicaSet
+	tel    *telemetry.Registry
 }
 
 // DialShards connects to every endpoint (one replica per shard). On
@@ -66,17 +64,13 @@ func DialReplicaShards(shards []ShardAddrs, opts Options) (*ShardedClient, error
 		// assembled traces lose their middle hops.
 		opts.Telemetry = tel
 	}
-	sc := &ShardedClient{
-		shards:   make([]*replicaSet, len(shards)),
-		counters: stats.NewCounters(),
-		tel:      tel,
-	}
+	sc := &ShardedClient{shards: make([]*replicaSet, len(shards)), tel: tel}
 	for i, sh := range shards {
 		if sh.Primary == "" {
 			_ = sc.Close() // best-effort cleanup; the config error is reported
 			return nil, fmt.Errorf("kvnet: shard %d has no primary address", i)
 		}
-		rs := newReplicaSet(sh, opts, sc.counters)
+		rs := newReplicaSet(sh, opts, tel.Counters())
 		if _, _, err := rs.client(); err != nil {
 			_ = sc.Close() // best-effort cleanup; the dial error is reported
 			return nil, fmt.Errorf("kvnet: shard %d (%s): %w", i, sh.Primary, err)
@@ -89,8 +83,9 @@ func DialReplicaShards(shards []ShardAddrs, opts Options) (*ShardedClient, error
 // Counters exposes the routing-layer counters: sharded.redirects
 // (NotPrimary hints followed), sharded.rotations (blind failover
 // rotations after transport errors) and sharded.route_updates
-// (coordinator republishes applied).
-func (sc *ShardedClient) Counters() *stats.Counters { return sc.counters }
+// (coordinator republishes applied). They live in the Telemetry
+// registry, so a scrape of it exports them.
+func (sc *ShardedClient) Counters() *telemetry.Counters { return sc.tel.Counters() }
 
 // Telemetry returns the routing layer's registry: when Options.Telemetry
 // was set at dial time it is shared with every per-shard connection, so
@@ -125,7 +120,7 @@ func (sc *ShardedClient) UpdateShard(i int, addrs ShardAddrs) error {
 		return fmt.Errorf("kvnet: shard %d republish has no primary", i)
 	}
 	sc.shards[i].update(addrs)
-	sc.counters.Add("sharded.route_updates", 1)
+	sc.tel.Counters().Add("sharded.route_updates", 1)
 	return nil
 }
 
@@ -339,14 +334,14 @@ func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint3
 // address list (front = believed primary) and cached connections.
 type replicaSet struct {
 	opts     Options
-	counters *stats.Counters
+	counters *telemetry.Counters
 
 	mu      sync.Mutex
 	addrs   []string
 	clients map[string]*Client
 }
 
-func newReplicaSet(sh ShardAddrs, opts Options, counters *stats.Counters) *replicaSet {
+func newReplicaSet(sh ShardAddrs, opts Options, counters *telemetry.Counters) *replicaSet {
 	addrs := append([]string{sh.Primary}, sh.Backups...)
 	return &replicaSet{
 		opts:     opts.withDefaults(),

@@ -263,3 +263,29 @@ func httpGet(t *testing.T, url string) string {
 	}
 	return string(body)
 }
+
+// TestShardedRoutingCountersReachScrape: the routing counters
+// (sharded.redirects, .rotations, .route_updates) live in the sharded
+// client's telemetry registry, which is what kvdserver exports on
+// /metrics — not in a private side registry a scrape never sees.
+func TestShardedRoutingCountersReachScrape(t *testing.T) {
+	_, sc := startShardedDeployment(t, 2)
+	addr := sc.shards[1].addrs[0]
+	if err := sc.UpdateShard(1, ShardAddrs{Primary: addr}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Counters().Get("sharded.route_updates"); got != 1 {
+		t.Fatalf("Counters() route_updates = %d, want 1", got)
+	}
+	snap := sc.Telemetry().Snapshot()
+	if got := snap.Counters["sharded.route_updates"]; got != 1 {
+		t.Fatalf("snapshot route_updates = %d, want 1: %+v", got, snap.Counters)
+	}
+	var b strings.Builder
+	if err := telemetry.WritePrometheus(&b, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "kvd_sharded_route_updates 1\n") {
+		t.Fatalf("prometheus output missing kvd_sharded_route_updates 1:\n%s", b.String())
+	}
+}

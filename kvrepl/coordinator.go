@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/kvnet"
 )
@@ -40,7 +39,7 @@ func (o CoordOptions) withDefaults() CoordOptions {
 type Coordinator struct {
 	opts         CoordOptions
 	tel          *telemetry.Registry
-	counters     *stats.Counters
+	counters     *telemetry.Counters
 	migrationDur *telemetry.Histogram
 
 	mu      sync.Mutex
@@ -81,7 +80,7 @@ func NewCoordinator(opts CoordOptions) *Coordinator {
 // Counters exposes the control-plane counters: repl.failovers,
 // repl.failovers_aborted, repl.migrations, repl.migrations_completed,
 // repl.migrations_aborted, repl.member_adds and repl.member_removes.
-func (c *Coordinator) Counters() *stats.Counters { return c.counters }
+func (c *Coordinator) Counters() *telemetry.Counters { return c.counters }
 
 // Telemetry exposes the coordinator's registry (counters plus the
 // repl.migration_duration_ns histogram) for /metrics export.

@@ -230,7 +230,7 @@ func (m *Migration) run() {
 	err := m.migrate()
 	m.durNs.Store(time.Since(m.start).Nanoseconds())
 	m.src.log.Unpin()
-	m.src.ints.Set("repl.migration_lag", 0)
+	m.src.gauges.Set("repl.migration_lag", 0)
 	if err == nil {
 		m.state.Store(int32(MigrateDone))
 		m.c.counters.Add("repl.migrations_completed", 1)
@@ -482,7 +482,7 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			m.src.counters.Add("repl.migration_entries", 1)
 		}
 		m.src.log.Pin(sent + 1)
-		m.src.ints.Set("repl.migration_lag", int64(m.src.LastApplied())-int64(sent))
+		m.src.gauges.Set("repl.migration_lag", int64(m.src.LastApplied())-int64(sent))
 	}
 }
 

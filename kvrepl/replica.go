@@ -11,7 +11,6 @@ import (
 	"kvdirect"
 	"kvdirect/internal/fault"
 	"kvdirect/internal/repllog"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
@@ -31,9 +30,8 @@ type Replica struct {
 
 	log        *repllog.Log
 	tel        *telemetry.Registry
-	counters   *stats.Counters
-	gauges     *stats.Gauges
-	ints       *stats.IntGauges
+	counters   *telemetry.Counters
+	gauges     *telemetry.Gauges
 	quorumWait *telemetry.Histogram
 	faults     *fault.Injector
 
@@ -91,7 +89,6 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		tel:        tel,
 		counters:   tel.Counters(),
 		gauges:     tel.Gauges(),
-		ints:       tel.IntGauges(),
 		quorumWait: tel.Histogram("repl.quorum_wait_ns"),
 		faults:     opts.Faults,
 		ackWake:    make(chan struct{}),
@@ -160,18 +157,16 @@ func (r *Replica) Alive() bool {
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,
 // repl.quorum_failures, repl.apply_panics, repl.installs,
 // repl.migration_entries.
-func (r *Replica) Counters() *stats.Counters { return r.counters }
+func (r *Replica) Counters() *telemetry.Counters { return r.counters }
 
-// Gauges exposes the replica's unsigned gauges (shared with the store's
-// core gauges). Replication lag lives in IntGauges — it is transiently
-// negative when a backup applies past a heartbeat's frontier, which an
-// unsigned gauge would wrap to ~2^64.
-func (r *Replica) Gauges() *stats.Gauges { return r.gauges }
-
-// IntGauges exposes the signed replication gauges: repl.lag (entries
-// the slowest tracked backup is behind), repl.lag_max (its high-water
-// mark), repl.epoch, repl.applied_seq.
-func (r *Replica) IntGauges() *stats.IntGauges { return r.ints }
+// IntGauges exposes the replica's gauges, shared with the store's core
+// gauges: repl.lag (entries the slowest tracked backup is behind,
+// transiently negative when a backup applies past a heartbeat's
+// frontier), repl.lag_max (its high-water mark), repl.epoch,
+// repl.applied_seq, repl.migration_lag. Every gauge is signed now, so
+// the "Int" is historical; the name stays because the benchmark harness
+// (the separate perfbench module, whose API use is frozen) calls it.
+func (r *Replica) IntGauges() *telemetry.Gauges { return r.gauges }
 
 // Telemetry returns the registry shared by the replica, its store and
 // its client-facing server.
@@ -508,7 +503,7 @@ func (r *Replica) applyLocalLocked(req wire.Request, span *telemetry.Span) (resp
 		text := string(resp.Value) +
 			fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",
 				r.role, r.epoch, r.lastApplied) +
-			r.counters.String() + r.gauges.String() + r.ints.String()
+			r.counters.String() + r.gauges.String()
 		resp.Value = []byte(text)
 	}
 	return resp
@@ -524,8 +519,8 @@ func (r *Replica) PublishTelemetry() {
 		return
 	}
 	r.store.PublishTelemetry()
-	r.ints.Set("repl.epoch", int64(r.epoch))
-	r.ints.Set("repl.applied_seq", int64(r.lastApplied))
+	r.gauges.Set("repl.epoch", int64(r.epoch))
+	r.gauges.Set("repl.applied_seq", int64(r.lastApplied))
 }
 
 // quorumSeqLocked returns the highest sequence number applied by at
@@ -597,6 +592,6 @@ func (r *Replica) recordAck(epoch uint64, peerID int, seq uint64) {
 	// observe its own frontier past a stale heartbeat's, and both sites
 	// must feed the same gauge without wrapping.
 	lag := int64(r.lastApplied) - int64(minAck)
-	r.ints.Set("repl.lag", lag)
-	r.ints.SetMax("repl.lag_max", lag)
+	r.gauges.Set("repl.lag", lag)
+	r.gauges.SetMax("repl.lag_max", lag)
 }

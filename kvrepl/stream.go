@@ -472,9 +472,9 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 			behind := m.Seq > r.lastApplied
 			ackSeq := r.lastApplied
 			// Signed: our frontier can be past a stale heartbeat's Seq
-			// (entries applied while the heartbeat was in flight), which
-			// the old unsigned gauge had to clamp away.
-			r.ints.Set("repl.lag", int64(m.Seq)-int64(ackSeq))
+			// (entries applied while the heartbeat was in flight), so
+			// the lag is briefly negative.
+			r.gauges.Set("repl.lag", int64(m.Seq)-int64(ackSeq))
 			r.mu.Unlock()
 			if behind {
 				// The cursor passed entries we never saw (drop fault at

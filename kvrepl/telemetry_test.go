@@ -96,8 +96,8 @@ func TestReplicaTelemetry(t *testing.T) {
 	if snap.Gauges["core.keys"] == 0 {
 		t.Errorf("scrape missing core gauges: %+v", snap.Gauges)
 	}
-	if _, ok := snap.IntGauges["repl.lag"]; !ok {
-		t.Errorf("scrape missing signed repl.lag: %+v", snap.IntGauges)
+	if _, ok := snap.Gauges["repl.lag"]; !ok {
+		t.Errorf("scrape missing signed repl.lag: %+v", snap.Gauges)
 	}
 	if snap.Histogram("repl.quorum_wait_ns").Count == 0 {
 		t.Error("quorum wait histogram empty after acked writes")
@@ -107,10 +107,10 @@ func TestReplicaTelemetry(t *testing.T) {
 	// (the HTTP exporter calls it under the pipeline lock).
 	prim.PublishTelemetry()
 	s := prim.Telemetry().Snapshot()
-	if s.IntGauges["repl.applied_seq"] < 2 {
-		t.Errorf("repl.applied_seq = %d, want >= 2", s.IntGauges["repl.applied_seq"])
+	if s.Gauges["repl.applied_seq"] < 2 {
+		t.Errorf("repl.applied_seq = %d, want >= 2", s.Gauges["repl.applied_seq"])
 	}
-	if s.IntGauges["repl.epoch"] == 0 {
-		t.Errorf("repl.epoch missing: %+v", s.IntGauges)
+	if s.Gauges["repl.epoch"] == 0 {
+		t.Errorf("repl.epoch missing: %+v", s.Gauges)
 	}
 }
