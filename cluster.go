@@ -56,12 +56,15 @@ func (c *Cluster) Close() {
 func (c *Cluster) NumShards() int { return len(c.stores) }
 
 // Shard returns the store that owns key.
-func (c *Cluster) Shard(key []byte) *Store { return c.stores[c.index(key)] }
+func (c *Cluster) Shard(key []byte) *Store { return c.stores[ShardIndex(key, len(c.stores))] }
 
 // ShardAt returns shard i directly (for per-NIC servers or stats).
 func (c *Cluster) ShardAt(i int) *Store { return c.stores[i] }
 
-func (c *Cluster) index(key []byte) int {
+// ShardIndex returns which of n shards owns key: FNV-1a with a
+// finalizing mix. Cluster and kvnet.ShardedClient both place keys with
+// it, so a networked client routes each key to the NIC that stores it.
+func ShardIndex(key []byte, n int) int {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
@@ -70,7 +73,7 @@ func (c *Cluster) index(key []byte) int {
 	h ^= h >> 33
 	h *= 0xC4CEB9FE1A85EC53
 	h ^= h >> 33
-	return int(h % uint64(len(c.stores)))
+	return int(h % uint64(n))
 }
 
 // Get routes a GET to the owning shard.

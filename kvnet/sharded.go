@@ -124,22 +124,9 @@ func (sc *ShardedClient) UpdateShard(i int, addrs ShardAddrs) error {
 	return nil
 }
 
-// shardIndex mirrors kvdirect.Cluster's routing hash.
-func (sc *ShardedClient) shardIndex(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xC4CEB9FE1A85EC53
-	h ^= h >> 33
-	return int(h % uint64(len(sc.shards)))
-}
-
 // Get routes a GET to the owning shard.
 func (sc *ShardedClient) Get(key []byte) ([]byte, bool, error) {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
+	res, err := sc.shards[kvdirect.ShardIndex(key, len(sc.shards))].do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
 	if err != nil {
 		return nil, false, err
 	}
@@ -156,7 +143,7 @@ func (sc *ShardedClient) Get(key []byte) ([]byte, bool, error) {
 
 // Put routes a PUT to the owning shard.
 func (sc *ShardedClient) Put(key, value []byte) error {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
+	res, err := sc.shards[kvdirect.ShardIndex(key, len(sc.shards))].do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
 	if err != nil {
 		return err
 	}
@@ -168,7 +155,7 @@ func (sc *ShardedClient) Put(key, value []byte) error {
 
 // Delete routes a DELETE to the owning shard.
 func (sc *ShardedClient) Delete(key []byte) (bool, error) {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
+	res, err := sc.shards[kvdirect.ShardIndex(key, len(sc.shards))].do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
 	if err != nil {
 		return false, err
 	}
@@ -186,7 +173,7 @@ func (sc *ShardedClient) Delete(key []byte) (bool, error) {
 func (sc *ShardedClient) FetchAdd(key []byte, delta uint64) (uint64, error) {
 	var param [8]byte
 	binary.LittleEndian.PutUint64(param[:], delta)
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{
+	res, err := sc.shards[kvdirect.ShardIndex(key, len(sc.shards))].do([]kvdirect.Op{{
 		Code: kvdirect.OpUpdateScalar, Key: key,
 		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param[:],
 	}})
@@ -260,7 +247,7 @@ func (sc *ShardedClient) Scan(start []byte, limit int) ([]kvdirect.ScanEntry, er
 func (sc *ShardedClient) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
 	groups := make(map[int][]int)
 	for i, op := range ops {
-		s := sc.shardIndex(op.Key)
+		s := kvdirect.ShardIndex(op.Key, len(sc.shards))
 		groups[s] = append(groups[s], i)
 	}
 	out := make([]kvdirect.Result, len(ops))
@@ -291,7 +278,7 @@ func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint3
 	}
 	groups := make(map[int][]int)
 	for i, op := range ops {
-		s := sc.shardIndex(op.Key)
+		s := kvdirect.ShardIndex(op.Key, len(sc.shards))
 		groups[s] = append(groups[s], i)
 	}
 	childParent := parent
@@ -483,7 +470,7 @@ func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.R
 				rs.dropClient(addr, c)
 				continue
 			}
-			if !idempotentOps(ops) {
+			if !idempotent(ops) {
 				// Ambiguous failure of a non-idempotent batch: replaying
 				// it elsewhere could apply an update twice. Same contract
 				// as Client.Do.
@@ -548,7 +535,3 @@ func notPrimaryHint(res []kvdirect.Result) (string, bool) {
 	}
 	return "", false
 }
-
-// idempotentOps mirrors the Client's retry rule for routing-layer
-// replays after ambiguous transport failures.
-func idempotentOps(ops []kvdirect.Op) bool { return idempotent(ops) }

@@ -24,8 +24,14 @@
 //
 // A joining or lagging backup whose next entry has fallen out of the
 // primary's log window catches up by snapshot: the primary streams a
-// Store.Dump consistent as of sequence S, the backup installs it into a
-// fresh store and resumes log replay from S+1.
+// Store.Dump consistent as of sequence S in 64 KiB chunks, the backup
+// installs it into a fresh store and resumes log replay from S+1.
+//
+// Backup catch-up and live shard migration (Coordinator.MigrateShard)
+// share one replication stream: the same dial, framing with deadlines,
+// handshake, snapshot sender and Append/Ack shipping. Only the policy
+// differs — catch-up acks count toward the group's quorum, migration
+// acks advance the migration's destination frontier and never do.
 //
 // Failure handling is lease-based: the primary heartbeats the
 // Coordinator; when the lease expires the Coordinator bumps the group's
@@ -84,13 +90,23 @@ type Options struct {
 	// (default 25 ms; the coordinator's LeaseTimeout should be a small
 	// multiple of it).
 	HeartbeatEvery time.Duration
-	// SnapshotChunk is the snapshot transfer chunk size (default 64 KiB).
-	SnapshotChunk int
 	// StreamTimeout bounds each replication-stream read/write (default
 	// 2 s); a stalled peer surfaces as a timeout and a reconnect.
 	StreamTimeout time.Duration
-	// Faults optionally injects replication faults: ReplDropEntry,
-	// ReplStallBackup, ReplPartitionPrimary.
+	// Faults optionally injects replication faults. Each point has one
+	// scope:
+	//   - ReplDropEntry: the primary skips one entry on a catch-up
+	//     stream to a backup (never on a migration stream).
+	//   - ReplStallBackup: a receiving replica delays applying one
+	//     shipped entry.
+	//   - ReplPartitionPrimary: the primary loses one heartbeat to the
+	//     coordinator.
+	//   - ReplMigrateStall: a migration source delays one message it
+	//     sends on a migration stream (not on catch-up streams).
+	//   - ReplCutoverPartition: a migration source drops the stream in
+	//     the fenced cutover window, just before the install.
+	//   - ReplDestCrash: a migration destination tears down one inbound
+	//     migration stream mid-apply.
 	Faults *fault.Injector
 	// Seed drives the replication layer's deterministic jitter.
 	Seed int64
@@ -111,9 +127,6 @@ func (o Options) withDefaults(groupSize int) Options {
 	}
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if o.SnapshotChunk <= 0 {
-		o.SnapshotChunk = 64 << 10
 	}
 	if o.StreamTimeout <= 0 {
 		o.StreamTimeout = 2 * time.Second

@@ -1,6 +1,7 @@
 package kvrepl
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -143,12 +144,15 @@ func TestSnapshotCatchup(t *testing.T) {
 			t.Fatalf("put %s: %v", k, err)
 		}
 	}
+	// Large values push the dump past several transfer chunks.
+	big := putBigValues(t, c.Put)
+	writes := uint64(n + len(big))
 
 	// Now attach the backup; log replay is impossible, so it must catch
 	// up by snapshot and then track the stream.
 	prim.promote(2, map[int]string{1: back.ReplAddr()})
 	waitFor(t, 5*time.Second, "backup snapshot catch-up",
-		func() bool { return back.LastApplied() >= uint64(n) })
+		func() bool { return back.LastApplied() >= writes })
 	if got := back.Counters().Get("repl.snapshots_installed"); got == 0 {
 		t.Fatal("backup caught up without installing a snapshot")
 	}
@@ -159,21 +163,51 @@ func TestSnapshotCatchup(t *testing.T) {
 	if got := prim.Counters().Get("repl.catchup_bytes"); got == 0 {
 		t.Fatal("primary recorded no catch-up bytes")
 	}
+	if got := prim.Counters().Get("repl.catchup_bytes"); got <= 2*snapshotChunk {
+		t.Fatalf("catch-up sent %d B, want a snapshot of 3+ chunks (> %d B)", got, 2*snapshotChunk)
+	}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("snap-%03d", i)
 		if v, ok := back.Store().Get([]byte(k)); !ok || string(v) != "v-"+k {
 			t.Fatalf("backup key %s = %q, %v", k, v, ok)
 		}
 	}
+	checkBigValues(t, big, back.Store().Get)
 
 	// Post-snapshot writes replicate by plain log replay.
 	if err := c.Put([]byte("after"), []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "post-snapshot replication",
-		func() bool { return back.LastApplied() >= uint64(n)+1 })
+		func() bool { return back.LastApplied() >= writes+1 })
 	if v, ok := back.Store().Get([]byte("after")); !ok || string(v) != "snap" {
 		t.Fatalf("post-snapshot key = %q, %v", v, ok)
+	}
+}
+
+// putBigValues writes 400 keys with 512 B values (~200 KiB, over three
+// snapshot chunks) through put and returns them for checkBigValues.
+func putBigValues(t *testing.T, put func(k, v []byte) error) map[string][]byte {
+	t.Helper()
+	big := make(map[string][]byte, 400)
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("big-%03d", i)
+		v := bytes.Repeat([]byte{byte('a' + i%26)}, 512)
+		if err := put([]byte(k), v); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+		big[k] = v
+	}
+	return big
+}
+
+// checkBigValues asserts every putBigValues key reads back through get.
+func checkBigValues(t *testing.T, big map[string][]byte, get func(k []byte) ([]byte, bool)) {
+	t.Helper()
+	for k, want := range big {
+		if v, ok := get([]byte(k)); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("key %s = %d B (found=%v), want %d B", k, len(v), ok, len(want))
+		}
 	}
 }
 

@@ -1,11 +1,8 @@
 package kvrepl
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,54 +314,15 @@ func (m *Migration) streamEpoch() uint64 {
 // retained log, tail shipping, then fence + drain + install once caught
 // up. It reports installed=true when the destination has committed.
 func (m *Migration) transferOnce() (installed bool, err error) {
-	timeout := m.src.opts.StreamTimeout
-	conn, err := net.DialTimeout("tcp", m.dest.ReplAddr(), timeout)
+	s, err := m.src.dialStream(m.dest.ReplAddr())
 	if err != nil {
 		return false, err
 	}
-	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-
-	send := func(msg wire.ReplMessage) error {
-		if m.src.faults.Should(fault.ReplMigrateStall) {
-			time.Sleep(migrateStall)
-		}
-		pkt, perr := wire.AppendReplMessage(nil, msg)
-		if perr != nil {
-			return perr
-		}
-		if derr := conn.SetWriteDeadline(time.Now().Add(timeout)); derr != nil {
-			return derr
-		}
-		if werr := kvnet.WriteFrame(bw, pkt); werr != nil {
-			return werr
-		}
-		return bw.Flush()
-	}
-	recv := func() (wire.ReplMessage, error) {
-		if derr := conn.SetReadDeadline(time.Now().Add(timeout)); derr != nil {
-			return wire.ReplMessage{}, derr
-		}
-		pkt, rerr := kvnet.ReadFrame(br)
-		if rerr != nil {
-			return wire.ReplMessage{}, rerr
-		}
-		return wire.DecodeReplMessage(pkt)
-	}
+	defer s.close()
 
 	// Handshake: announce the migration and learn the destination's
 	// surviving frontier (0 on first contact, further along on resume).
-	err = send(wire.ReplMessage{
-		Kind:    wire.ReplMigrate,
-		Epoch:   m.streamEpoch(),
-		Seq:     m.src.LastApplied(),
-		Payload: []byte(m.src.ClientAddr()),
-	})
-	if err != nil {
-		return false, err
-	}
-	reply, err := recv()
+	reply, err := s.handshake(wire.ReplMigrate, m.streamEpoch())
 	if err != nil {
 		return false, err
 	}
@@ -402,7 +360,7 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 				// as a lagging backup.
 				m.src.counters.Add("repl.snapshot_fallbacks", 1)
 			}
-			snapSeq, snErr := m.sendSnapshot(send, recv)
+			snapSeq, snErr := m.sendSnapshot(s)
 			if snErr != nil {
 				return false, snErr
 			}
@@ -429,12 +387,7 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			if m.src.faults.Should(fault.ReplCutoverPartition) {
 				return false, errors.New("injected cutover partition")
 			}
-			if ierr := send(wire.ReplMessage{
-				Kind: wire.ReplInstall, Epoch: m.cutEpoch.Load(), Seq: sent,
-			}); ierr != nil {
-				return false, ierr
-			}
-			ack, aerr := recv()
+			ack, aerr := s.call(wire.ReplMessage{Kind: wire.ReplInstall, Epoch: m.cutEpoch.Load(), Seq: sent})
 			if aerr != nil {
 				return false, aerr
 			}
@@ -461,12 +414,7 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			if m.stopped() {
 				return false, errors.New("migration stopped")
 			}
-			if serr := send(wire.ReplMessage{
-				Kind: wire.ReplAppend, Epoch: m.streamEpoch(), Seq: e.Seq, Payload: e.Packet,
-			}); serr != nil {
-				return false, serr
-			}
-			ack, aerr := recv()
+			ack, aerr := s.ship(m.streamEpoch(), e)
 			if aerr != nil {
 				return false, aerr
 			}
@@ -487,42 +435,15 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 }
 
 // sendSnapshot streams a consistent dump of the source store; replay
-// resumes from the returned sequence. The log is pinned just past the
-// dump's frontier under the same lock that freezes it, so the tail the
-// destination still needs cannot be evicted while it installs.
-func (m *Migration) sendSnapshot(send func(wire.ReplMessage) error, recv func() (wire.ReplMessage, error)) (uint64, error) {
-	m.src.mu.Lock()
-	var buf bytes.Buffer
-	_, derr := m.src.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
-	snapSeq := m.src.lastApplied
-	if derr == nil {
-		m.src.log.Pin(snapSeq + 1)
-	}
-	m.src.mu.Unlock()
-	if derr != nil {
-		return 0, derr
-	}
-	epoch := m.streamEpoch()
-	if err := send(wire.ReplMessage{Kind: wire.ReplSnapshotBegin, Epoch: epoch, Seq: snapSeq}); err != nil {
+// resumes from the returned sequence. The dump pins the log just past
+// its frontier, so the tail the destination still needs cannot be
+// evicted while it installs.
+func (m *Migration) sendSnapshot(s *stream) (uint64, error) {
+	data, snapSeq, err := m.src.snapshot(true)
+	if err != nil {
 		return 0, err
 	}
-	data := buf.Bytes()
-	chunk := m.src.opts.SnapshotChunk
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := send(wire.ReplMessage{
-			Kind: wire.ReplSnapshotChunk, Epoch: epoch, Seq: snapSeq, Payload: data[off:end],
-		}); err != nil {
-			return 0, err
-		}
-	}
-	if err := send(wire.ReplMessage{Kind: wire.ReplSnapshotEnd, Epoch: epoch, Seq: snapSeq}); err != nil {
-		return 0, err
-	}
-	ack, err := recv()
+	ack, err := s.sendSnapshot(m.streamEpoch(), snapSeq, data)
 	if err != nil {
 		return 0, err
 	}
@@ -530,8 +451,6 @@ func (m *Migration) sendSnapshot(send func(wire.ReplMessage) error, recv func() 
 		return 0, fmt.Errorf("snapshot not acked (got %s seq %d, want ACK %d)", ack.Kind, ack.Seq, snapSeq)
 	}
 	m.snapBytes.Add(uint64(len(data)))
-	m.src.counters.Add("repl.snapshots_sent", 1)
-	m.src.counters.Add("repl.catchup_bytes", uint64(len(data)))
 	m.state.CompareAndSwap(int32(MigrateSnapshot), int32(MigrateTail))
 	return snapSeq, nil
 }

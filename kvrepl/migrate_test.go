@@ -54,6 +54,8 @@ func TestMigrateShardBasic(t *testing.T) {
 	opts.LogWindow = 64 // writes outrun the window: the transfer must snapshot first
 	const writes = 300
 	src, dest, sc := startMigrationPair(t, coord, opts, writes)
+	// Large values push the transfer's snapshot past several chunks.
+	big := putBigValues(t, sc.Put)
 
 	oldPrim := src.Primary()
 	if oldPrim == nil {
@@ -75,6 +77,12 @@ func TestMigrateShardBasic(t *testing.T) {
 	}
 	if st.SnapshotBytes == 0 {
 		t.Fatal("expected a snapshot transfer with LogWindow < writes")
+	}
+	if st.SnapshotBytes <= 2*snapshotChunk {
+		t.Fatalf("snapshot was %d B, want 3+ chunks (> %d B)", st.SnapshotBytes, 2*snapshotChunk)
+	}
+	if got := oldPrim.Counters().Get("repl.catchup_bytes"); got <= 2*snapshotChunk {
+		t.Fatalf("source catch-up bytes = %d, want > %d", got, 2*snapshotChunk)
 	}
 	if st.DestSeq < frontier {
 		t.Fatalf("destination frontier %d < source frontier %d", st.DestSeq, frontier)
@@ -118,6 +126,12 @@ func TestMigrateShardBasic(t *testing.T) {
 			t.Fatalf("new primary missing key %s (got %q, %v)", k, v, ok)
 		}
 	}
+
+	checkBigValues(t, big, newPrim.Store().Get)
+	checkBigValues(t, big, func(k []byte) ([]byte, bool) {
+		v, found, err := sc.Get(k)
+		return v, found && err == nil
+	})
 
 	// Writes keep flowing — onto the new group, not the old one.
 	if err := sc.Put([]byte("post-migration"), []byte("y")); err != nil {

@@ -21,6 +21,145 @@ import (
 // long enough to open replication lag, short enough for chaos runs.
 const stallBackup = 2 * time.Millisecond
 
+// snapshotChunk is the payload size of one ReplSnapshotChunk message.
+const snapshotChunk = 64 << 10
+
+// --- the replication stream: one framed connection, both directions ---
+
+// stream is one replication connection: kvnet CRC32C frames carrying
+// wire.ReplMessage envelopes, every read and write bounded by the
+// owning replica's StreamTimeout. The primary's catch-up loop, the
+// migration transfer and the receiving replica all speak through it;
+// each keeps only its own policy (quorum accounting, cutover, apply).
+type stream struct {
+	r    *Replica
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	// migration is set by a ReplMigrate handshake: only a migration
+	// sender's messages are subject to the ReplMigrateStall fault.
+	migration bool
+}
+
+func (r *Replica) newStream(conn net.Conn) *stream {
+	return &stream{r: r, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+}
+
+// dialStream opens an outbound replication stream to a peer's
+// replication listener.
+func (r *Replica) dialStream(addr string) (*stream, error) {
+	conn, err := net.DialTimeout("tcp", addr, r.opts.StreamTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return r.newStream(conn), nil
+}
+
+func (s *stream) close() { _ = s.conn.Close() } // the stream is done either way
+
+func (s *stream) send(m wire.ReplMessage) error {
+	if s.migration && s.r.faults.Should(fault.ReplMigrateStall) {
+		time.Sleep(migrateStall)
+	}
+	pkt, err := wire.AppendReplMessage(nil, m)
+	if err != nil {
+		return err
+	}
+	if err := s.conn.SetWriteDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
+		return err
+	}
+	if err := kvnet.WriteFrame(s.bw, pkt); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
+func (s *stream) recv() (wire.ReplMessage, error) {
+	if err := s.conn.SetReadDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
+		return wire.ReplMessage{}, err
+	}
+	pkt, err := kvnet.ReadFrame(s.br)
+	if err != nil {
+		return wire.ReplMessage{}, err
+	}
+	return wire.DecodeReplMessage(pkt)
+}
+
+// call sends one message and returns the peer's reply.
+func (s *stream) call(m wire.ReplMessage) (wire.ReplMessage, error) {
+	if err := s.send(m); err != nil {
+		return wire.ReplMessage{}, err
+	}
+	return s.recv()
+}
+
+// handshake opens the stream with kind (ReplHello for a backup,
+// ReplMigrate for a migration destination) at epoch, announcing the
+// sender's applied frontier and client address. The reply carries the
+// receiver's applied frontier, or a fencing rejection.
+func (s *stream) handshake(kind wire.ReplKind, epoch uint64) (wire.ReplMessage, error) {
+	s.migration = kind == wire.ReplMigrate
+	return s.call(wire.ReplMessage{
+		Kind:    kind,
+		Epoch:   epoch,
+		Seq:     s.r.LastApplied(),
+		Payload: []byte(s.r.clientAddr),
+	})
+}
+
+// ship sends one log entry and returns the receiver's reply.
+func (s *stream) ship(epoch uint64, e repllog.Entry) (wire.ReplMessage, error) {
+	return s.call(wire.ReplMessage{Kind: wire.ReplAppend, Epoch: epoch, Seq: e.Seq, Payload: e.Packet})
+}
+
+// sendSnapshot streams a dump consistent as of seq in snapshotChunk
+// pieces and returns the receiver's reply to the final ReplSnapshotEnd.
+// An ack of seq means the receiver installed it; replay resumes at
+// seq+1.
+func (s *stream) sendSnapshot(epoch, seq uint64, data []byte) (wire.ReplMessage, error) {
+	if err := s.send(wire.ReplMessage{Kind: wire.ReplSnapshotBegin, Epoch: epoch, Seq: seq}); err != nil {
+		return wire.ReplMessage{}, err
+	}
+	for off := 0; off < len(data); off += snapshotChunk {
+		end := min(off+snapshotChunk, len(data))
+		if err := s.send(wire.ReplMessage{
+			Kind: wire.ReplSnapshotChunk, Epoch: epoch, Seq: seq, Payload: data[off:end],
+		}); err != nil {
+			return wire.ReplMessage{}, err
+		}
+	}
+	ack, err := s.call(wire.ReplMessage{Kind: wire.ReplSnapshotEnd, Epoch: epoch, Seq: seq})
+	if err == nil && ack.Kind == wire.ReplAck && ack.Seq == seq {
+		s.r.counters.Add("repl.snapshots_sent", 1)
+		s.r.counters.Add("repl.catchup_bytes", uint64(len(data)))
+	}
+	return ack, err
+}
+
+// reject tells the peer why the stream is about to close.
+func (s *stream) reject(epoch uint64, reason string) {
+	_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
+		Kind: wire.ReplReject, Epoch: epoch, Payload: []byte(reason),
+	})
+}
+
+// snapshot dumps the store consistent as of the applied frontier, which
+// it returns. With pin set, log truncation is fenced just past that
+// frontier under the same lock, so the tail the receiver needs next
+// cannot be evicted while it installs.
+func (r *Replica) snapshot(pin bool) ([]byte, uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var buf bytes.Buffer
+	if _, err := r.store.Dump(&buf); err != nil { //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu
+		return nil, 0, err
+	}
+	if pin {
+		r.log.Pin(r.lastApplied + 1)
+	}
+	return buf.Bytes(), r.lastApplied, nil
+}
+
 // --- primary side: one shipping loop per backup ---
 
 // peerSync is the primary's replication stream to one backup: dial,
@@ -119,29 +258,18 @@ func (p *peerSync) run() {
 // syncOnce runs one connection's lifetime; it reports whether any
 // message round-tripped (to reset the redial backoff).
 func (p *peerSync) syncOnce() (progressed bool) {
-	conn, err := net.DialTimeout("tcp", p.addr, p.r.opts.StreamTimeout)
+	s, err := p.r.dialStream(p.addr)
 	if err != nil {
 		return false
 	}
-	defer func() { _ = conn.Close() }()
-	if !p.setConn(conn) {
+	defer s.close()
+	if !p.setConn(s.conn) {
 		return false
 	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 
 	// Handshake: announce our epoch and client address; learn the
 	// backup's applied frontier.
-	err = p.send(conn, bw, wire.ReplMessage{
-		Kind:    wire.ReplHello,
-		Epoch:   p.epoch,
-		Seq:     p.r.LastApplied(),
-		Payload: []byte(p.r.clientAddr),
-	})
-	if err != nil {
-		return false
-	}
-	m, err := p.recv(conn, br)
+	m, err := s.handshake(wire.ReplHello, p.epoch)
 	if err != nil || p.checkReply(m) != nil || m.Kind != wire.ReplHello {
 		return false
 	}
@@ -161,7 +289,7 @@ func (p *peerSync) syncOnce() (progressed bool) {
 			// The backup's lag outran the log window: fall back to a
 			// snapshot install instead of stalling on the missing tail.
 			p.r.counters.Add("repl.snapshot_fallbacks", 1)
-			snapSeq, serr := p.sendSnapshot(conn, bw, br)
+			snapSeq, serr := p.sendSnapshot(s)
 			if serr != nil {
 				return true
 			}
@@ -172,7 +300,7 @@ func (p *peerSync) syncOnce() (progressed bool) {
 			return true
 		}
 		if len(entries) == 0 {
-			if !p.idle(conn, bw, br, sent) {
+			if !p.idle(s, sent) {
 				return true
 			}
 			continue
@@ -199,27 +327,15 @@ func (p *peerSync) syncOnce() (progressed bool) {
 				span = p.r.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
 				span.SetOp("REPL_SHIP", 1)
 			}
-			err = p.send(conn, bw, wire.ReplMessage{
-				Kind:    wire.ReplAppend,
-				Epoch:   p.epoch,
-				Seq:     e.Seq,
-				Payload: e.Packet,
-			})
-			if err != nil {
-				span.SetErr(err)
-				p.r.tel.Tracer().Publish(span)
-				return true
+			ack, err := s.ship(p.epoch, e)
+			if err == nil && p.handleAck(ack) != nil {
+				err = errors.New("kvrepl: ack rejected")
 			}
-			ack, rerr := p.recv(conn, br)
-			if rerr != nil || p.handleAck(ack) != nil {
-				if rerr == nil {
-					rerr = errors.New("kvrepl: ack rejected")
-				}
-				span.SetErr(rerr)
-				p.r.tel.Tracer().Publish(span)
-				return true
-			}
+			span.SetErr(err)
 			p.r.tel.Tracer().Publish(span)
+			if err != nil {
+				return true
+			}
 			sent = e.Seq
 			p.r.counters.Add("repl.entries_shipped", 1)
 		}
@@ -230,7 +346,7 @@ func (p *peerSync) syncOnce() (progressed bool) {
 // heartbeat tick (which doubles as the gap detector when the last
 // entries before the pause were fault-dropped). Returns false to tear
 // the connection down.
-func (p *peerSync) idle(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, sent uint64) bool {
+func (p *peerSync) idle(s *stream, sent uint64) bool {
 	t := time.NewTimer(p.r.opts.HeartbeatEvery)
 	defer t.Stop()
 	select {
@@ -243,62 +359,24 @@ func (p *peerSync) idle(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, sent 
 	// Heartbeat carries the stream cursor, not the primary's frontier:
 	// entries appended after Since returned empty will be shipped next
 	// iteration and must not read as a gap.
-	err := p.send(conn, bw, wire.ReplMessage{
-		Kind: wire.ReplHeartbeat, Epoch: p.epoch, Seq: sent,
-	})
-	if err != nil {
-		return false
-	}
-	ack, err := p.recv(conn, br)
+	ack, err := s.call(wire.ReplMessage{Kind: wire.ReplHeartbeat, Epoch: p.epoch, Seq: sent})
 	return err == nil && p.handleAck(ack) == nil
 }
 
-// sendSnapshot transfers a consistent Dump so a backup beyond the log
+// sendSnapshot transfers a consistent dump so a backup beyond the log
 // window can rejoin; replay resumes from the returned sequence.
-func (p *peerSync) sendSnapshot(conn net.Conn, bw *bufio.Writer, br *bufio.Reader) (uint64, error) {
-	p.r.mu.Lock()
-	var buf bytes.Buffer
-	_, derr := p.r.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
-	snapSeq := p.r.lastApplied
-	p.r.mu.Unlock()
-	if derr != nil {
-		return 0, derr
-	}
-	err := p.send(conn, bw, wire.ReplMessage{
-		Kind: wire.ReplSnapshotBegin, Epoch: p.epoch, Seq: snapSeq,
-	})
+func (p *peerSync) sendSnapshot(s *stream) (uint64, error) {
+	data, snapSeq, err := p.r.snapshot(false)
 	if err != nil {
 		return 0, err
 	}
-	data := buf.Bytes()
-	for off := 0; off < len(data); off += p.r.opts.SnapshotChunk {
-		end := off + p.r.opts.SnapshotChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		err = p.send(conn, bw, wire.ReplMessage{
-			Kind: wire.ReplSnapshotChunk, Epoch: p.epoch, Seq: snapSeq,
-			Payload: data[off:end],
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	err = p.send(conn, bw, wire.ReplMessage{
-		Kind: wire.ReplSnapshotEnd, Epoch: p.epoch, Seq: snapSeq,
-	})
+	ack, err := s.sendSnapshot(p.epoch, snapSeq, data)
 	if err != nil {
 		return 0, err
 	}
-	ack, err := p.recv(conn, br)
-	if err != nil {
+	if err := p.handleAck(ack); err != nil {
 		return 0, err
 	}
-	if aerr := p.handleAck(ack); aerr != nil {
-		return 0, aerr
-	}
-	p.r.counters.Add("repl.snapshots_sent", 1)
-	p.r.counters.Add("repl.catchup_bytes", uint64(len(data)))
 	return snapSeq, nil
 }
 
@@ -324,31 +402,6 @@ func (p *peerSync) checkReply(m wire.ReplMessage) error {
 		p.r.maybeDemote(m.Epoch, "")
 	}
 	return fmt.Errorf("kvrepl: peer %d rejected stream: %s", p.peerID, m.Payload)
-}
-
-func (p *peerSync) send(conn net.Conn, bw *bufio.Writer, m wire.ReplMessage) error {
-	pkt, err := wire.AppendReplMessage(nil, m)
-	if err != nil {
-		return err
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(p.r.opts.StreamTimeout)); err != nil {
-		return err
-	}
-	if err := kvnet.WriteFrame(bw, pkt); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func (p *peerSync) recv(conn net.Conn, br *bufio.Reader) (wire.ReplMessage, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(p.r.opts.StreamTimeout)); err != nil {
-		return wire.ReplMessage{}, err
-	}
-	pkt, err := kvnet.ReadFrame(br)
-	if err != nil {
-		return wire.ReplMessage{}, err
-	}
-	return wire.DecodeReplMessage(pkt)
 }
 
 // --- backup side: accept the primary's stream and apply it ---
@@ -387,33 +440,9 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 		delete(r.conns, conn)
 		r.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	recv := func() (wire.ReplMessage, error) {
-		if err := conn.SetReadDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
-			return wire.ReplMessage{}, err
-		}
-		pkt, err := kvnet.ReadFrame(br)
-		if err != nil {
-			return wire.ReplMessage{}, err
-		}
-		return wire.DecodeReplMessage(pkt)
-	}
-	send := func(m wire.ReplMessage) error {
-		pkt, err := wire.AppendReplMessage(nil, m)
-		if err != nil {
-			return err
-		}
-		if err := conn.SetWriteDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
-			return err
-		}
-		if err := kvnet.WriteFrame(bw, pkt); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
+	s := r.newStream(conn)
 
-	hello, err := recv()
+	hello, err := s.recv()
 	if err != nil || (hello.Kind != wire.ReplHello && hello.Kind != wire.ReplMigrate) {
 		return
 	}
@@ -424,19 +453,17 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 	last, herr := r.admitStream(hello)
 	if herr != nil {
 		r.counters.Add("repl.epoch_rejects", 1)
-		_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-			Kind: wire.ReplReject, Epoch: r.Epoch(), Payload: []byte(herr.Error()),
-		})
+		s.reject(r.Epoch(), herr.Error())
 		return
 	}
-	if err := send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: hello.Epoch, Seq: last}); err != nil {
+	if err := s.send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: hello.Epoch, Seq: last}); err != nil {
 		return
 	}
 
 	var snapBuf *bytes.Buffer
 	var snapSeq uint64
 	for {
-		m, err := recv()
+		m, err := s.recv()
 		if err != nil {
 			return
 		}
@@ -449,9 +476,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 		if cur := r.Epoch(); m.Epoch < cur {
 			// A newer primary contacted us mid-stream; fence the old one.
 			r.counters.Add("repl.epoch_rejects", 1)
-			_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-				Kind: wire.ReplReject, Epoch: cur, Payload: []byte("stale epoch"),
-			})
+			s.reject(cur, "stale epoch")
 			return
 		}
 		switch m.Kind {
@@ -464,7 +489,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
 				return
 			}
 		case wire.ReplHeartbeat:
@@ -482,7 +507,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
 				return
 			}
 		case wire.ReplSnapshotBegin:
@@ -498,12 +523,10 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				return
 			}
 			if err := r.installSnapshot(snapBuf, snapSeq); err != nil {
-				_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-					Kind: wire.ReplReject, Epoch: m.Epoch, Payload: []byte(err.Error()),
-				})
+				s.reject(m.Epoch, err.Error())
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: snapSeq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: snapSeq}); err != nil {
 				return
 			}
 			snapBuf = nil
@@ -512,13 +535,10 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 			// shard's fenced final frontier exactly — otherwise the
 			// migrator must keep draining the tail.
 			if !isMigration || !r.adoptInstall(m.Epoch, m.Seq) {
-				_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-					Kind: wire.ReplReject, Epoch: r.Epoch(),
-					Payload: []byte("install refused: frontier mismatch"),
-				})
+				s.reject(r.Epoch(), "install refused: frontier mismatch")
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: m.Seq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: m.Seq}); err != nil {
 				return
 			}
 		default:
